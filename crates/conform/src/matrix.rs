@@ -46,7 +46,9 @@ pub fn engine_matrix() -> Vec<Engine> {
 ///
 /// Interpreter-tier profiles have no optimization passes, so they appear
 /// once; each register-tier profile of the SciMark lineup is expanded into
-/// the four loop-pass combinations. The `abce` toggle also gates the
+/// the four loop-pass combinations, each run under both slot allocators
+/// (the profile's own `Tier::Rir` use-count ranking and `Tier::Compiled`
+/// linear scan) on the one register executor. The `abce` toggle also gates the
 /// range-analysis and loop-versioning elision mechanisms (where the base
 /// profile enables them), so the matrix stays pinned at 50 engines while
 /// still exercising every `BoundsMode` under audit.
@@ -70,9 +72,9 @@ pub fn engine_matrix_with(audit: bool) -> Vec<Engine> {
                         label: format!("{} [abce={} licm={}]", base.name, abce as u8, licm as u8),
                         profile: p,
                     });
-                    // The same knobs again on the direct-threaded tier:
-                    // closure dispatch and linear-scan allocation must be
-                    // observationally identical to the exec tier.
+                    // The same knobs again under the linear-scan
+                    // allocator: on the one register executor, the two
+                    // allocators must be observationally identical.
                     let threaded = p.with_tier(Tier::Compiled);
                     out.push(Engine {
                         label: format!(
@@ -360,8 +362,8 @@ mod tests {
     #[test]
     fn matrix_has_oracle_plus_expanded_lineup() {
         let m = engine_matrix();
-        // oracle + Rotor + 6 register profiles × 4 pass combos × 2 tiers
-        // (exec and direct-threaded)
+        // oracle + Rotor + 6 register profiles × 4 pass combos × 2
+        // allocators (use-count and linear-scan) on the one executor
         assert_eq!(m.len(), 1 + 1 + 6 * 4 * 2);
         assert_eq!(m[0].label, "oracle");
         assert_eq!(m[0].profile.tier, Tier::Interpreter);

@@ -149,7 +149,7 @@ fn grande_kernels_reset_equals_fresh() {
 }
 
 /// Conform seeds: generated programs (arrays, helper calls, try/catch,
-/// statics) across interpreter, exec, and threaded tiers.
+/// statics) across the interpreter and both register allocators.
 #[test]
 fn conform_seeds_reset_equals_fresh() {
     for seed in 2000..2010 {

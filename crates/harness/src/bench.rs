@@ -223,7 +223,7 @@ pub fn cell_note(m: &Measurement) -> String {
 }
 
 /// Run the default bench sweep ([`BENCH_GROUPS`] × the bench lineup: the
-/// CLI profiles plus the CLR knobs on the direct-threaded tier).
+/// CLI profiles plus the CLR knobs under the linear-scan allocator).
 pub fn run_bench(cfg: &Config) -> Result<BenchRun, MeasureError> {
     run_bench_groups(cfg, BENCH_GROUPS)
 }

@@ -1,21 +1,28 @@
-//! The direct-threaded execution engine.
+//! The register-tier execution engine.
 //!
 //! Runs [`crate::rir::compile::CompiledMethod`] code: a flat array of
-//! pre-resolved closures, one per RIR instruction, produced by
-//! [`crate::rir::compile`]. Where [`crate::exec`] re-decodes each
-//! instruction on every execution (a 40-way `match` per operation — the
-//! interpretive dispatch cost the paper's JITs don't pay), this loop
-//! fetches `ops[pc]` and calls it: operands, immediates, literals and
-//! class layouts were all resolved at translation time, so the per-op work
-//! is the operation itself plus one indirect call. Everything around the
-//! dispatch — the split enregistered/spill frame, exception dispatch,
-//! `leave`/`finally` protocol, raise helpers and internal-error strings —
-//! is shared with or mirrored from the exec tier, keeping the two bitwise
-//! interchangeable under the conformance matrix while differing *only* in
-//! dispatch and slot-allocation strategy.
+//! pre-resolved closures, one per allocated RIR instruction, produced by
+//! [`crate::rir::compile`]. The loop fetches `ops[pc]` and calls it:
+//! operands, immediates, literals and class layouts were all resolved at
+//! translation time, so the per-op work is the operation itself plus one
+//! indirect call — no per-execution decode of the instruction.
 //!
-//! Profiles select this engine with [`crate::profile::Tier::Compiled`];
-//! [`crate::profile::VmProfile::clr11_compiled`] is the stock example.
+//! Both register tiers run here. They differ in one compile step only, the
+//! slot allocator: [`crate::profile::Tier::Rir`] ranks virtual registers
+//! by static use count (`rir::opt::allocate`), while
+//! [`crate::profile::Tier::Compiled`] reuses registers by linear scan over
+//! live intervals. Either way the frame is split the way the paper's
+//! Section 5 describes real JIT frames: an *enregistered* file
+//! (`preg`/`rreg`, plain array slots — the "registers") and a *spill
+//! frame* (`pspill`/`rspill`) accessed through volatile loads/stores, so
+//! spilled virtual registers cost genuine memory traffic on every touch. A
+//! profile that enregisters one value (Mono) therefore pays for every
+//! stack-shuffle move in memory, while a 64-register profile (CLR 1.1,
+//! IBM) runs the same loop entirely out of the register file.
+//!
+//! Profiles select the allocator with [`crate::profile::Tier`];
+//! [`crate::profile::VmProfile::clr11_compiled`] is the stock linear-scan
+//! example.
 //!
 //! ```
 //! use hpcnet_cil::{BinOp, CilType, MethodKind, ModuleBuilder};
@@ -32,8 +39,8 @@
 //! f.ret();
 //! f.finish();
 //!
-//! // Any profile can be moved onto the threaded tier; the answer is the
-//! // same as on every other engine, only the dispatch differs.
+//! // Any profile can be moved onto the linear-scan allocator; the answer
+//! // is the same as on every other engine, only the slot map differs.
 //! let profile = VmProfile::mono023().with_tier(Tier::Compiled);
 //! let vm = Vm::new(mb.finish(), profile).unwrap();
 //! let r = vm.invoke_by_name("P.Twice", vec![Value::I4(21)]).unwrap();
@@ -41,24 +48,26 @@
 //! ```
 
 use crate::error::{VmError, VmResult};
-use crate::exec::{loc_to_dst, Flow, Frame, RunEnd};
 use crate::machine::Vm;
 use crate::rir::compile::CompiledMethod;
+use crate::rir::{slot_index, ArgSlot, DstSlot, Operand, RirMethod, SPILL_BIT};
 use hpcnet_cil::module::{EhKind, MethodId};
+use hpcnet_cil::ElemKind;
 use hpcnet_runtime::{Obj, Value};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-/// Entry point used by [`Vm::invoke`] for threaded-tier profiles.
+/// Entry point used by [`Vm::invoke`] for register-tier profiles.
 pub(crate) fn call(
     vm: &Arc<Vm>,
     method: MethodId,
     args: Vec<Value>,
     depth: u32,
 ) -> VmResult<Option<Value>> {
-    let code = vm.threaded(method)?;
+    let code = vm.compiled(method)?;
     let mut fr = Frame::new(&code.rir);
-    for (v, loc) in args.into_iter().zip(code.rir.arg_locs.clone().into_iter()) {
-        fr.store_value(&loc_to_dst(loc), v);
+    for (v, loc) in args.into_iter().zip(&code.rir.arg_locs) {
+        fr.store_arg(loc, v);
     }
     let mut ex = Threaded {
         vm,
@@ -75,6 +84,128 @@ pub(crate) fn call(
     }
 }
 
+pub(crate) struct Frame {
+    preg: Vec<u64>,
+    pspill: Vec<u64>,
+    rreg: Vec<Option<Obj>>,
+    rspill: Vec<Option<Obj>>,
+}
+
+impl Frame {
+    pub(crate) fn new(rir: &RirMethod) -> Frame {
+        Frame {
+            preg: vec![0; rir.n_preg as usize],
+            pspill: vec![0; rir.n_pspill as usize],
+            rreg: vec![None; rir.n_rreg as usize],
+            rspill: vec![None; rir.n_rspill as usize],
+        }
+    }
+
+    /// Read a primitive slot. Spill slots go through a volatile load —
+    /// genuine memory traffic the optimizer cannot elide.
+    #[inline(always)]
+    pub(crate) fn pget(&self, s: u16) -> u64 {
+        if s & SPILL_BIT == 0 {
+            self.preg[s as usize]
+        } else {
+            let slot = &self.pspill[slot_index(s)];
+            // SAFETY: `slot` is a live, aligned reference into the frame.
+            unsafe { std::ptr::read_volatile(slot) }
+        }
+    }
+
+    #[inline(always)]
+    pub(crate) fn pset(&mut self, s: u16, v: u64) {
+        if s & SPILL_BIT == 0 {
+            self.preg[s as usize] = v;
+        } else {
+            let slot = &mut self.pspill[slot_index(s)];
+            // SAFETY: `slot` is a live, aligned, exclusive reference into
+            // the frame.
+            unsafe { std::ptr::write_volatile(slot, v) }
+        }
+    }
+
+    #[inline(always)]
+    pub(crate) fn operand(&self, o: &Operand) -> u64 {
+        match o {
+            Operand::Slot(s) => self.pget(*s),
+            Operand::Imm(v) => *v,
+        }
+    }
+
+    #[inline(always)]
+    pub(crate) fn rget(&self, s: u16) -> Option<Obj> {
+        if s & SPILL_BIT == 0 {
+            self.rreg[s as usize].clone()
+        } else {
+            let idx = std::hint::black_box(slot_index(s));
+            self.rspill[idx].clone()
+        }
+    }
+
+    /// Borrow a reference slot without touching the refcount (hot path
+    /// for array/field access).
+    #[inline(always)]
+    pub(crate) fn rref(&self, s: u16) -> Option<&Obj> {
+        if s & SPILL_BIT == 0 {
+            self.rreg[s as usize].as_ref()
+        } else {
+            let idx = std::hint::black_box(slot_index(s));
+            self.rspill[idx].as_ref()
+        }
+    }
+
+    #[inline(always)]
+    pub(crate) fn rset(&mut self, s: u16, v: Option<Obj>) {
+        if s & SPILL_BIT == 0 {
+            self.rreg[s as usize] = v;
+        } else {
+            let idx = std::hint::black_box(slot_index(s));
+            self.rspill[idx] = v;
+        }
+    }
+
+    pub(crate) fn load_value(&self, a: &ArgSlot) -> Value {
+        match a {
+            ArgSlot::P(t, s) => Value::from_bits(*t, self.pget(*s)),
+            ArgSlot::R(s) => match self.rget(*s) {
+                Some(o) => Value::Ref(o),
+                None => Value::Null,
+            },
+        }
+    }
+
+    /// Write an incoming argument into its allocated slot.
+    fn store_arg(&mut self, a: &ArgSlot, v: Value) {
+        match a {
+            ArgSlot::P(_, s) => self.pset(*s, v.to_bits()),
+            ArgSlot::R(s) => self.rset(*s, v.as_ref_opt().cloned()),
+        }
+    }
+
+    pub(crate) fn store_dst(&mut self, d: &DstSlot, v: Value) {
+        match d {
+            DstSlot::P(s) => self.pset(*s, v.to_bits()),
+            DstSlot::R(s) => self.rset(*s, v.as_ref_opt().cloned()),
+        }
+    }
+}
+
+enum RunEnd {
+    Return(Option<Value>),
+    EndFinally,
+}
+
+/// What a translated instruction tells the dispatch loop to do next.
+pub(crate) enum Flow {
+    Next,
+    Jump(u32),
+    Return(Option<Value>),
+    Leave(u32),
+    EndFinally,
+}
+
 struct Threaded<'v> {
     vm: &'v Arc<Vm>,
     code: &'v CompiledMethod,
@@ -85,8 +216,8 @@ struct Threaded<'v> {
 
 impl<'v> Threaded<'v> {
     fn internal<T>(&self, msg: &str) -> VmResult<T> {
-        // Same shape as the other engines' internal errors: every tier must
-        // render an identical string for an identical failure.
+        // Same shape as the stack interpreter's internal errors: both
+        // engines must render an identical string for an identical failure.
         Err(VmError::Internal(format!(
             "{} in {}",
             msg,
@@ -94,11 +225,13 @@ impl<'v> Threaded<'v> {
         )))
     }
 
-    /// The threaded dispatch loop. Same contract as `exec::Exec::run`:
-    /// with `finally_bound = Some(handler range)` the run is executing a
-    /// finally handler in-frame — an `endfinally` terminates it, and
-    /// exception dispatch is restricted to regions nested inside the
-    /// handler so the *enclosing* run performs any outer dispatch.
+    /// The threaded dispatch loop. With `finally_bound = Some(handler
+    /// range)` the run is executing a finally handler in-frame: an
+    /// `endfinally` terminates it, and exception dispatch is restricted to
+    /// regions nested inside the handler — anything else propagates out so
+    /// the *enclosing* run performs the dispatch (otherwise an enclosing
+    /// catch would execute inside the finally sub-run and a later `ret`
+    /// would falsely read as "return inside finally").
     fn run(&mut self, entry: u32, finally_bound: Option<(u32, u32)>) -> VmResult<RunEnd> {
         let mut pc = entry;
         loop {
@@ -139,7 +272,8 @@ impl<'v> Threaded<'v> {
     /// Run the finally handlers exited by `leave pc -> target`. Returns
     /// `Some(handler_pc)` when a finally threw and an enclosing catch takes
     /// over (the exception search restarts from the faulting handler, per
-    /// CLI semantics).
+    /// CLI semantics: it replaces the leave, and outer finallys between the
+    /// handler and the catch still run as part of that dispatch).
     fn run_leave_finallys(
         &mut self,
         pc: u32,
@@ -173,7 +307,8 @@ impl<'v> Threaded<'v> {
 
     /// Find a handler for `exc` thrown at `pc`; runs intervening finallys.
     /// With `bound`, only regions nested inside that handler range are
-    /// eligible (dispatch from inside a finally handler must not escape it).
+    /// eligible (dispatch from inside a finally handler must not escape it —
+    /// the caller owns anything further out).
     fn dispatch_exception(
         &mut self,
         pc: u32,
@@ -228,4 +363,85 @@ impl<'v> Threaded<'v> {
         }
         Err(VmError::Exception(exc))
     }
+}
+
+/// An element value in transit (untagged bits or a reference).
+pub(crate) enum Loaded {
+    Bits(u64),
+    Ref(Option<Obj>),
+}
+
+#[inline]
+pub(crate) fn elem_read(o: &Obj, kind: ElemKind, idx: usize) -> VmResult<Loaded> {
+    match kind.num_ty() {
+        Some(_) => Ok(Loaded::Bits(
+            o.prim_data()
+                .get(idx)
+                .ok_or_else(|| VmError::Internal("unchecked access out of bounds".into()))?
+                .load(Ordering::Relaxed),
+        )),
+        None => Ok(Loaded::Ref(
+            o.ref_data()
+                .get(idx)
+                .ok_or_else(|| VmError::Internal("unchecked access out of bounds".into()))?
+                .get(),
+        )),
+    }
+}
+
+#[inline]
+pub(crate) fn elem_write(o: &Obj, kind: ElemKind, idx: usize, val: Loaded) -> VmResult<()> {
+    o.mark_dirty();
+    match val {
+        Loaded::Bits(mut bits) => {
+            if kind == ElemKind::U1 {
+                bits &= 0xFF;
+            }
+            o.prim_data()
+                .get(idx)
+                .ok_or_else(|| VmError::Internal("unchecked access out of bounds".into()))?
+                .store(bits, Ordering::Relaxed);
+        }
+        Loaded::Ref(v) => {
+            o.ref_data()
+                .get(idx)
+                .ok_or_else(|| VmError::Internal("unchecked access out of bounds".into()))?
+                .set(v);
+        }
+    }
+    Ok(())
+}
+
+/// Flat offset of a multidimensional access with per-dimension bounds
+/// checks; the `helper` flavor is the uninlinable generic accessor.
+#[inline]
+pub(crate) fn multi_offset_of(o: &Obj, idxs: &[i32], helper: bool) -> Option<usize> {
+    if helper {
+        multi_helper(o, idxs)
+    } else {
+        o.multi_offset(idxs)
+    }
+}
+
+/// The helper-call lowering of multidimensional access: re-reads the
+/// dimension vector defensively, validates twice, and cannot be inlined —
+/// modeling the generic accessor path.
+#[inline(never)]
+fn multi_helper(o: &Obj, idxs: &[i32]) -> Option<usize> {
+    // Marshal the indices into a helper frame (the generic accessor takes
+    // them boxed/by-array): real stores the optimizer cannot remove.
+    let mut frame = [0i32; 4];
+    for (slot, &i) in frame.iter_mut().zip(idxs.iter()) {
+        // SAFETY: `slot` is a live, aligned, exclusive array reference.
+        unsafe { std::ptr::write_volatile(slot, i) };
+    }
+    let dims = std::hint::black_box(o.multi_dims()?);
+    for (k, &d) in dims.iter().enumerate() {
+        // SAFETY: `&frame[k]` is a live, aligned (bounds-checked) reference.
+        let i = unsafe { std::ptr::read_volatile(&frame[k]) };
+        if i < 0 || std::hint::black_box(i as u32) >= d {
+            return None;
+        }
+    }
+    std::hint::black_box(o.multi_offset(idxs))
 }

@@ -9,10 +9,10 @@
 //! * [`machine::Vm`] — the host: heap, statics, intrinsics, threads.
 //! * [`interp`] — the stack interpreter (Rotor tier).
 //! * [`rir`] — stack→register lowering, optimization passes, allocation.
-//! * [`exec`] — the register-tier dispatch loop with an enregistered file
-//!   and a volatile spill frame.
-//! * [`compiled`] — the direct-threaded tier: RIR pre-translated to
-//!   closures by [`rir::compile`], linear-scan allocated, no per-op decode.
+//! * [`compiled`] — the register-tier executor: allocated RIR
+//!   pre-translated to threaded closures by [`rir::compile`], run over an
+//!   enregistered file and a volatile spill frame. Both register tiers use
+//!   it; they differ only in the slot allocator.
 //!
 //! ```
 //! use hpcnet_cil::{CilType, MethodKind, ModuleBuilder, BinOp};
@@ -35,7 +35,6 @@
 
 pub mod compiled;
 pub mod error;
-pub mod exec;
 pub mod interp;
 pub mod machine;
 pub mod numerics;
@@ -732,19 +731,19 @@ mod tests {
         let id = m.find_method("P.Div").unwrap();
         // IBM: constant fused as an immediate.
         let ibm = Vm::new(m.clone(), VmProfile::jvm_ibm131()).unwrap();
-        let ibm_code = print_rir(&ibm.compiled(id).unwrap());
+        let ibm_code = print_rir(&ibm.compiled(id).unwrap().rir);
         assert!(ibm_code.contains("div") && ibm_code.contains("#0x3"), "{ibm_code}");
         // CLR: divisor constant forced into a stack-frame temporary.
         let clr = Vm::new(m.clone(), VmProfile::clr11()).unwrap();
-        let clr_rir = clr.compiled(id).unwrap();
-        let clr_code = print_rir(&clr_rir);
+        let clr_compiled = clr.compiled(id).unwrap();
+        let clr_code = print_rir(&clr_compiled.rir);
         assert!(clr_code.contains("[psp"), "CLR should spill the divisor:\n{clr_code}");
         // Mono: no passes — the stack-shuffle moves survive, and with one
         // register nearly everything is a memory operand.
         let mono = Vm::new(m, VmProfile::mono023()).unwrap();
-        let mono_rir = mono.compiled(id).unwrap();
-        assert!(mono_rir.code.len() > clr_rir.code.len());
-        assert!(mono_rir.n_preg <= 1);
+        let mono_compiled = mono.compiled(id).unwrap();
+        assert!(mono_compiled.rir.code.len() > clr_compiled.rir.code.len());
+        assert!(mono_compiled.rir.n_preg <= 1);
         // All three still compute the same thing.
         for vm in [&ibm, &clr] {
             assert_eq!(vm.invoke(id, vec![Value::I4(5)]).unwrap().unwrap().as_i4(), 8837381);
@@ -780,10 +779,10 @@ mod tests {
         });
         let id = m.find_method("P.Fill").unwrap();
         let clr = Vm::new(m.clone(), VmProfile::clr11()).unwrap();
-        let code = print_rir(&clr.compiled(id).unwrap());
+        let code = print_rir(&clr.compiled(id).unwrap().rir);
         assert!(code.contains(".nobound"), "CLR should eliminate the check:\n{code}");
         let bea = Vm::new(m.clone(), VmProfile::jvm_bea81()).unwrap();
-        let code = print_rir(&bea.compiled(id).unwrap());
+        let code = print_rir(&bea.compiled(id).unwrap().rir);
         assert!(!code.contains(".nobound"), "BEA has bce off:\n{code}");
         // Semantics unchanged: run it.
         let arr = clr.heap.alloc_array(ElemKind::I4, 0);
@@ -1436,6 +1435,36 @@ mod tests {
         vm.invoke_by_name("P.Fill", vec![Value::I4(4)]).unwrap();
         vm.invoke_by_name("P.Fill", vec![Value::I4(4)]).unwrap();
         assert_eq!(vm.counters.snapshot().jit_compiles, 1, "cache hit on repeat");
+
+        // One code cache behind both accessors, on both register tiers:
+        // pre-JIT through the accessors, `jit_compiles` rises once per
+        // method, and the first invoke then compiles nothing.
+        let m = build_module(|mb| {
+            let c = mb.declare_class("P", None);
+            let mut g = mb.method(c, "Inc", vec![CilType::I4], CilType::I4, MethodKind::Static);
+            g.ld_arg(0);
+            g.ldc_i4(1);
+            g.bin(BinOp::Add);
+            g.ret();
+            let inc = g.finish();
+            let mut f = mb.method(c, "Go", vec![CilType::I4], CilType::I4, MethodKind::Static);
+            f.ld_arg(0);
+            f.call(inc);
+            f.ret();
+            f.finish();
+        });
+        for profile in [VmProfile::clr11(), VmProfile::clr11_compiled()] {
+            let vm = Vm::new(m.clone(), profile).unwrap();
+            let ids = ["P.Go", "P.Inc"].map(|n| vm.module.find_method(n).unwrap());
+            for (k, &id) in ids.iter().enumerate() {
+                let code = vm.compiled(id).unwrap();
+                assert!(std::sync::Arc::ptr_eq(&code, &vm.threaded(id).unwrap()));
+                assert_eq!(vm.counters.snapshot().jit_compiles, k as u64 + 1, "{}", profile.name);
+            }
+            let r = vm.invoke(ids[0], vec![Value::I4(41)]).unwrap();
+            assert_eq!(r.unwrap().as_i4(), 42);
+            assert_eq!(vm.counters.snapshot().jit_compiles, 2, "first invoke compiled");
+        }
     }
 
     /// A method with 70 locals that are all simultaneously live (every one
@@ -1487,11 +1516,10 @@ mod tests {
             code.rir.n_preg <= vm.profile.max_enreg_prim,
             "register file over cap"
         );
-        // The same method on the exec tier's use-count allocator spills
-        // too — both allocators honor the profile cap.
+        // The same method under the use-count allocator spills too — both
+        // allocators honor the profile cap.
         let vm2 = Vm::new(wide_module(n), VmProfile::clr11()).unwrap();
-        let rir = vm2.compiled(id).unwrap();
-        assert!(rir.n_pspill > 0);
+        assert!(vm2.compiled(id).unwrap().rir.n_pspill > 0);
     }
 
     #[test]
@@ -1521,10 +1549,20 @@ mod tests {
         });
         let want = 1 + (1..=40).sum::<i32>();
         assert_all_i4(&m, "P.Chain", vec![Value::I4(1)], want);
-        // Under Mono's 1-register cap the chain spills on both tiers, but
-        // interval reuse needs far fewer spill slots than one-per-vreg.
-        let vm = Vm::new(m, VmProfile::mono023().with_tier(Tier::Compiled)).unwrap();
+        // Under Mono's 1-register cap the chain spills under both
+        // allocators, but interval reuse needs far fewer spill slots than
+        // one-per-vreg.
+        let vm = Vm::new(m.clone(), VmProfile::mono023().with_tier(Tier::Compiled)).unwrap();
         let r = vm.invoke_by_name("P.Chain", vec![Value::I4(1)]).unwrap();
         assert_eq!(r.unwrap().as_i4(), want);
+        let id = vm.module.find_method("P.Chain").unwrap();
+        let use_count = Vm::new(m, VmProfile::mono023()).unwrap();
+        let (scan, ranked) = (vm.compiled(id).unwrap(), use_count.compiled(id).unwrap());
+        assert!(
+            scan.rir.n_pspill < ranked.rir.n_pspill,
+            "linear scan {} spill slots vs use-count {}",
+            scan.rir.n_pspill,
+            ranked.rir.n_pspill
+        );
     }
 }

@@ -3,14 +3,14 @@
 //! A [`Vm`] binds a verified [`Module`] to a [`VmProfile`]. All profiles
 //! share this host — heap, statics, monitors, threads, math dispatch — and
 //! differ only in how method bodies are executed (see [`crate::interp`] and
-//! [`crate::exec`]), which is precisely the experimental isolation the
+//! [`crate::compiled`]), which is precisely the experimental isolation the
 //! paper aims for by running one CIL image on several runtimes.
 
 use crate::error::{VmError, VmResult};
 use crate::interp;
 use crate::observe::{ObserveLevel, ObserveReport, Observer, PhaseTiming, VmPhase};
 use crate::profile::{MathKind, Tier, VmProfile};
-use crate::rir::RirMethod;
+use crate::rir::compile::CompiledMethod;
 use hpcnet_cil::{
     verify_module, ClassId, ElemKind, Intrinsic, MethodId, Module, NumTy,
     StrId,
@@ -58,7 +58,7 @@ impl WellKnown {
 /// A capture of a VM's mutable program state, taken by [`Vm::snapshot`]
 /// (typically right after static initialization) and replayed by
 /// [`Vm::reset_to`]. Holding one keeps every captured heap object alive,
-/// so a warmed VM — loaded module, compiled and threaded code — can be
+/// so a warmed VM — loaded module and compiled code — can be
 /// reused across thousands of isolated runs at microsecond cost.
 ///
 /// A snapshot is bound to the VM that took it: it carries that VM's
@@ -215,8 +215,7 @@ pub struct Vm {
     pub math: MathTable,
     pub counters: Counters,
     pub(crate) threads: ThreadRegistry,
-    code_cache: RwLock<Vec<Option<Arc<RirMethod>>>>,
-    threaded_cache: RwLock<Vec<Option<Arc<crate::rir::compile::CompiledMethod>>>>,
+    code_cache: RwLock<Vec<Option<Arc<CompiledMethod>>>>,
     pub(crate) well_known: WellKnown,
     /// Pre-created string literal objects.
     literals: Vec<Obj>,
@@ -315,7 +314,6 @@ impl Vm {
             counters: Counters::default(),
             threads: ThreadRegistry::new(),
             code_cache: RwLock::new(vec![None; n_methods]),
-            threaded_cache: RwLock::new(vec![None; n_methods]),
             literals,
             run_methods,
             console: Mutex::new(Vec::new()),
@@ -441,8 +439,7 @@ impl Vm {
             let before = self.observer.enter(method);
             let r = match self.profile.tier {
                 Tier::Interpreter => interp::call(self, method, args, depth),
-                Tier::Rir => crate::exec::call(self, method, args, depth),
-                Tier::Compiled => crate::compiled::call(self, method, args, depth),
+                Tier::Rir | Tier::Compiled => crate::compiled::call(self, method, args, depth),
             };
             // Runs on unwinds too: the opcodes a frame executed before
             // faulting stay attributed to it.
@@ -451,17 +448,19 @@ impl Vm {
         }
         match self.profile.tier {
             Tier::Interpreter => interp::call(self, method, args, depth),
-            Tier::Rir => crate::exec::call(self, method, args, depth),
-            Tier::Compiled => crate::compiled::call(self, method, args, depth),
+            Tier::Rir | Tier::Compiled => crate::compiled::call(self, method, args, depth),
         }
     }
 
-    /// Fetch (translating on first use) the register-tier code for a method.
-    pub fn compiled(self: &Arc<Self>, method: MethodId) -> VmResult<Arc<RirMethod>> {
+    /// Fetch (translating on first use) the register-tier code for a
+    /// method: RIR allocated by the profile tier's allocator, translated to
+    /// threaded closures (see [`crate::rir::compile`]). One cache serves
+    /// both register tiers.
+    pub fn compiled(self: &Arc<Self>, method: MethodId) -> VmResult<Arc<CompiledMethod>> {
         if let Some(m) = &self.code_cache.read()[method.idx()] {
             return Ok(m.clone());
         }
-        let compiled = Arc::new(crate::rir::lower::compile(self, method)?);
+        let compiled = Arc::new(crate::rir::compile::compile(self, method)?);
         let mut cache = self.code_cache.write();
         if let Some(m) = &cache[method.idx()] {
             return Ok(m.clone()); // lost the race; use the winner
@@ -474,24 +473,10 @@ impl Vm {
         Ok(compiled)
     }
 
-    /// Fetch (translating on first use) the direct-threaded code for a
-    /// method. Mirrors [`Vm::compiled`], including the race rule: only the
-    /// translation that wins the cache publish bumps `jit_compiles`.
-    pub fn threaded(
-        self: &Arc<Self>,
-        method: MethodId,
-    ) -> VmResult<Arc<crate::rir::compile::CompiledMethod>> {
-        if let Some(m) = &self.threaded_cache.read()[method.idx()] {
-            return Ok(m.clone());
-        }
-        let compiled = Arc::new(crate::rir::compile::compile(self, method)?);
-        let mut cache = self.threaded_cache.write();
-        if let Some(m) = &cache[method.idx()] {
-            return Ok(m.clone()); // lost the race; use the winner
-        }
-        self.counters.jit_compiles.fetch_add(1, Ordering::Relaxed);
-        cache[method.idx()] = Some(compiled.clone());
-        Ok(compiled)
+    /// The same code as [`Vm::compiled`], under the name the threaded
+    /// tier's callers use.
+    pub fn threaded(self: &Arc<Self>, method: MethodId) -> VmResult<Arc<CompiledMethod>> {
+        self.compiled(method)
     }
 
     /// Drain the attribution profiler into plain values; `None` when the
@@ -554,7 +539,7 @@ impl Vm {
     /// (counters, opcode coverage, observer events) is deliberately
     /// *not* part of the snapshot: it keeps accumulating across resets,
     /// and callers diff [`CountersSnapshot`]s around each run instead.
-    /// Code caches are likewise untouched — keeping warmed compiled code
+    /// The code cache is likewise untouched — keeping warmed compiled code
     /// across resets is the whole point.
     pub fn snapshot(&self) -> VmSnapshot {
         self.join_all_threads();

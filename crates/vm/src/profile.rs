@@ -28,17 +28,22 @@
 use crate::observe::ObserveLevel;
 
 /// Which execution tier runs the code.
+///
+/// The two register tiers share one executor ([`crate::compiled`]: each
+/// optimized RIR instruction pre-resolved to a closure at compile time)
+/// and differ only in the slot allocator — one executor, two allocators.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Tier {
     /// Direct stack interpretation (the SSCLI/Rotor portability tier).
     Interpreter,
-    /// Stack-to-register translation with per-profile optimization passes.
+    /// Stack-to-register translation with per-profile optimization passes;
+    /// slots come from the use-count allocator, so the enregistration cap
+    /// bounds the *total* number of locals and temporaries that ever own
+    /// a register (CLR 1.1's "64 local variables" rule).
     Rir,
-    /// Direct-threaded execution of the same optimized RIR: each
-    /// instruction is pre-resolved to a closure at compile time and the
-    /// per-opcode dispatch match disappears (see [`crate::compiled`]).
-    /// Slots come from a linear-scan allocator, so the enregistration cap
-    /// bounds *simultaneously live* values rather than total locals.
+    /// The same optimized RIR with slots from a linear-scan allocator, so
+    /// the enregistration cap bounds *simultaneously live* values rather
+    /// than total locals.
     Compiled,
 }
 
@@ -201,16 +206,16 @@ impl VmProfile {
 
     /// The same profile running on a different [`Tier`] (builder-style,
     /// usable in consts). The conform matrix uses this to run every
-    /// register-tier profile's pass configuration through the compiled
-    /// tier as well.
+    /// register-tier profile's pass configuration under the linear-scan
+    /// allocator as well.
     pub const fn with_tier(mut self, tier: Tier) -> VmProfile {
         self.tier = tier;
         self
     }
 
-    /// CLR 1.1 codegen knobs on the direct-threaded compiled tier — the
-    /// "what if the dispatch loop itself disappeared" engine the bench
-    /// harness compares against [`VmProfile::clr11`].
+    /// CLR 1.1 codegen knobs with linear-scan allocation — the "what if
+    /// registers were reused across lifetimes" engine the bench harness
+    /// compares against [`VmProfile::clr11`].
     pub const fn clr11_compiled() -> VmProfile {
         let mut p = Self::clr11();
         p.name = "C# .NET 1.1 (threaded)";

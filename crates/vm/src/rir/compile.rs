@@ -1,28 +1,32 @@
-//! RIR → direct-threaded code: closure compilation and linear-scan
-//! allocation for the [`crate::compiled`] tier.
+//! RIR → direct-threaded code: slot allocation and closure compilation,
+//! the only JIT entry of the register tiers (run by [`crate::compiled`]).
 //!
-//! The exec tier re-decodes every [`RInst`] on every execution — a `match`
-//! over 40-odd variants sits on the critical path of each operation, which
-//! is exactly the interpretive dispatch overhead the paper's JITs do not
-//! pay. This module removes it the way direct-threaded VMs do: each
-//! instruction is translated **once** into a pre-resolved closure
-//! (operands, immediates, string literals, class layouts and callee
-//! null-check requirements are all captured at compile time), and the
-//! method body becomes a flat `Vec` of those closures indexed by pc. The
-//! per-`(op, type)` monomorphization happens here, at translation time, so
-//! the Rust compiler constant-folds the type dispatch that the exec tier
-//! performs per execution.
+//! `compile` lowers and optimizes a method (through the shared front half
+//! in [`crate::rir::share`]), allocates its slots, then translates each
+//! instruction **once** into a pre-resolved closure (operands, immediates,
+//! string literals, class layouts and callee null-check requirements are
+//! all captured at compile time); the method body becomes a flat `Vec` of
+//! those closures indexed by pc. The per-`(op, type)` monomorphization
+//! happens here, at translation time, so the Rust compiler constant-folds
+//! the type dispatch an instruction decoder would perform per execution.
 //!
-//! Slot allocation is a **linear scan** over live intervals rather than
-//! the exec tier's static use-count ranking: intervals are the span from
-//! first to last occurrence (extended across backward branches, and
-//! pessimized to whole-method spans when exception regions make linear
-//! order a lie), registers are reused as intervals expire, and when the
-//! profile's enregistration cap (`max_enreg_prim` / `max_enreg_ref`) is
-//! exhausted the value staying live longest is evicted to the volatile
-//! spill frame. Under the CLR profile's 64-register file a method with
-//! more than 64 simultaneously live values takes genuine spills — the
-//! paper's Section 5 enregistration limit as a real allocation decision.
+//! The allocator is the one tier-dependent step: one executor, two
+//! allocators.
+//!
+//! * [`crate::profile::Tier::Rir`] ranks virtual registers by static use
+//!   count (`opt::allocate`): the top `max_enreg_*` own a register for
+//!   the whole method, everything else spills.
+//! * [`crate::profile::Tier::Compiled`] runs a **linear scan** over live
+//!   intervals: intervals are the span from first to last occurrence
+//!   (extended across backward branches, and pessimized to whole-method
+//!   spans when exception regions make linear order a lie), registers are
+//!   reused as intervals expire, and when the profile's enregistration cap
+//!   is exhausted the value staying live longest is evicted to the
+//!   volatile spill frame.
+//!
+//! Under the CLR profile's 64-register file a method with more than 64
+//! competing values takes genuine spills either way — the paper's
+//! Section 5 enregistration limit as a real allocation decision.
 //!
 //! ```
 //! use hpcnet_cil::{BinOp, CilType, CmpOp, MethodKind, ModuleBuilder};
@@ -47,16 +51,18 @@
 //! f.ret();
 //! f.finish();
 //!
-//! // The threaded profile shares the CLR 1.1 knobs but runs closure code.
+//! // The threaded profile shares the CLR 1.1 knobs but allocates by
+//! // linear scan.
 //! let vm = Vm::new(mb.finish(), VmProfile::clr11_compiled()).unwrap();
 //! let r = vm.invoke_by_name("P.Sum", vec![Value::I4(10)]).unwrap();
 //! assert_eq!(r.unwrap().as_i4(), 45);
 //! ```
 
+use crate::compiled::{elem_read, elem_write, multi_offset_of, Flow, Frame, Loaded};
 use crate::error::{VmError, VmResult};
-use crate::exec::{elem_read, elem_write, multi_offset_of, Flow, Frame, Loaded};
 use crate::machine::Vm;
 use crate::numerics;
+use crate::profile::Tier;
 use crate::rir::lower::{self, Lowered};
 use crate::rir::{opt, ArgSlot, DstSlot, Operand, RInst, RirMethod, SPILL_BIT};
 use hpcnet_cil::module::MethodId;
@@ -75,7 +81,7 @@ pub(crate) type OpFn = Box<dyn Fn(&mut Frame, &Arc<Vm>, u32) -> VmResult<Flow> +
 /// records per-opcode attribution from it), for [`crate::rir::print_rir`]
 /// listings, and for frame construction.
 pub struct CompiledMethod {
-    /// The linear-scan-allocated RIR backing the threaded code.
+    /// The allocated RIR backing the threaded code.
     pub rir: RirMethod,
     pub(crate) ops: Vec<OpFn>,
 }
@@ -89,14 +95,17 @@ impl std::fmt::Debug for CompiledMethod {
     }
 }
 
-/// Compile a method for the threaded tier: lower, run the shared
-/// optimization pipeline, linear-scan allocate, then close over every
-/// instruction. Compile events surface through the same `JitCompile`
-/// typed-trace path as the exec tier.
+/// Compile a method for the register tiers: lower and optimize (the front
+/// half may be served from the VM's shared cache, see
+/// [`crate::rir::share`]), allocate under this VM's register caps with the
+/// profile tier's allocator, then close over every instruction.
 pub(crate) fn compile(vm: &Arc<Vm>, method: MethodId) -> VmResult<CompiledMethod> {
     let (lowered, res) = crate::rir::share::front(vm, method)?;
     let t = vm.observer.phase_start();
-    let rir = linear_scan(vm, method, lowered, &res.force_spill_p);
+    let rir = match vm.profile.tier {
+        Tier::Compiled => linear_scan(vm, method, lowered, &res.force_spill_p),
+        Tier::Rir | Tier::Interpreter => opt::allocate(vm, method, lowered, &res.force_spill_p),
+    };
     vm.observer.phase_end(crate::observe::VmPhase::JitAllocate, t);
     opt::push_compile_events(vm, method, &rir, res);
     let ops = build_ops(vm, &rir);
@@ -125,7 +134,7 @@ fn touch(iv: &mut [(u32, u32)], v: u16, at: u32) {
 /// Allocate virtual registers to the profile-capped register file by
 /// linear scan over live intervals, spilling the rest. Shares the
 /// `SPILL_BIT` slot encoding (and therefore [`Frame`]) with the use-count
-/// allocator, so the exec and threaded tiers interpret slots identically.
+/// allocator, so one executor runs the output of either.
 fn linear_scan(
     vm: &Arc<Vm>,
     method: MethodId,
@@ -336,7 +345,7 @@ macro_rules! op_ty_cross {
 }
 
 /// Primitive element load, shared by the specialized array closures.
-/// Identical failure string to the exec tier's `elem_read`.
+/// Identical failure string to [`elem_read`].
 #[inline(always)]
 fn prim_elem(o: &Obj, idx: usize) -> VmResult<u64> {
     Ok(o.prim_data()
@@ -357,8 +366,8 @@ fn build_ops(vm: &Arc<Vm>, rir: &RirMethod) -> Vec<OpFn> {
     rir.code.iter().map(|inst| build_op(vm, inst)).collect()
 }
 
-/// `op BinOp, NumTy` monomorphized: the type/op dispatch the exec tier
-/// does per execution happens once, here.
+/// `op BinOp, NumTy` monomorphized: the type/op dispatch an instruction
+/// decoder does per execution happens once, here.
 fn bin_op(op: BinOp, ty: NumTy, dst: u16, a: u16, b: Operand) -> OpFn {
     macro_rules! arm {
         ($o:ident) => {
@@ -475,10 +484,10 @@ fn conv_op(from: NumTy, to: NumTy, dst: u16, src: u16) -> OpFn {
     }
 }
 
-/// Translate one instruction. Every closure mirrors the corresponding
-/// `exec::Exec::step` arm exactly — same evaluation order, same raise
-/// helpers, same internal-error strings — so the two register tiers stay
-/// bitwise interchangeable under the conformance matrix.
+/// Translate one instruction. Every closure keeps the stack interpreter's
+/// evaluation order, raise helpers and internal-error strings, so both
+/// allocators' code stays bitwise interchangeable with the interpreter
+/// under the conformance matrix.
 fn build_op(vm: &Arc<Vm>, inst: &RInst) -> OpFn {
     match inst {
         RInst::Nop => Box::new(|_, _, _| Ok(Flow::Next)),

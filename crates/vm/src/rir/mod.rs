@@ -22,14 +22,17 @@
 //!    almost-provable loops behind an up-front guard. Every elision
 //!    carries a certificate re-verified by [`crate::rir::audit`].
 //!    Per-method results are tallied on [`crate::machine::Counters`].
-//! 4. **Allocate** ([`crate::rir::opt`]): virtual registers are ranked by
-//!    static use count and the top `max_enreg` live in the register file
-//!    (plain array access at run time); the rest spill to a frame arena
-//!    (volatile memory traffic) — the enregistration mechanism Section 5
-//!    of the paper identifies as dominating low-level performance.
-//! 5. **Execute** ([`crate::exec`]): the allocated code runs; an
-//!    "unchecked" element access that is out of range is an engine error,
-//!    so unsound eliminations fail loudly in differential tests.
+//! 4. **Allocate** ([`crate::rir::opt`] or [`crate::rir::compile`]): at
+//!    most `max_enreg` virtual registers live in the register file (plain
+//!    array access at run time); the rest spill to a frame arena (volatile
+//!    memory traffic) — the enregistration mechanism Section 5 of the
+//!    paper identifies as dominating low-level performance. `Tier::Rir`
+//!    ranks virtual registers by static use count; `Tier::Compiled` reuses
+//!    registers by linear scan over live intervals.
+//! 5. **Execute** ([`crate::compiled`]): the allocated code is translated
+//!    once to threaded closures and run; an "unchecked" element access
+//!    that is out of range is an engine error, so unsound eliminations
+//!    fail loudly in differential tests.
 //!
 //! [`print_rir`] renders the allocated code in an assembly-like listing;
 //! `examples/jit_compare.rs` uses it to reproduce the paper's Tables 6–8

@@ -36,10 +36,10 @@ pub(crate) struct OptResult {
 }
 
 /// Run a pass configuration over lowered code in place. Both register
-/// tiers share this pipeline — the exec tier hands the result to the
-/// use-count allocator below, the compiled tier to the linear-scan
+/// tiers share this pipeline — `Tier::Rir` hands the result to the
+/// use-count allocator below, `Tier::Compiled` to the linear-scan
 /// allocator in [`crate::rir::compile`] — so a pass combination means the
-/// same thing on either tier.
+/// same thing under either allocator.
 ///
 /// This is a pure function of `(passes, l)`: per-VM counters are applied
 /// separately by [`apply_outcome_counters`] so the result can be memoized
@@ -1987,8 +1987,8 @@ mod tests {
         let m = mb.finish();
         let vm = Vm::new(m, profile).unwrap();
         let id = vm.module.find_method("P.F").unwrap();
-        let rir = vm.compiled(id).unwrap();
-        (print_rir(&rir), rir.code.clone(), vm)
+        let code = vm.compiled(id).unwrap();
+        (print_rir(&code.rir), code.rir.code.clone(), vm)
     }
 
     fn const_times_eight(f: &mut hpcnet_cil::MethodBuilder) {

@@ -55,7 +55,7 @@ fn main() {
             let id = vm.module.find_method(method).unwrap();
             let code = vm.compiled(id).expect("translate");
             println!("===== {method} on {} =====", profile.name);
-            println!("{}", print_rir(&code));
+            println!("{}", print_rir(&code.rir));
         }
         let c = vm.counters.snapshot();
         println!(

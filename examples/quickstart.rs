@@ -47,5 +47,5 @@ fn main() {
     vm.invoke_by_name("Primes.CountBelow", vec![Value::I4(50)])
         .unwrap();
     println!("--- CLR 1.1 profile code for CountBelow ---");
-    println!("{}", print_rir(&vm.compiled(id).unwrap()));
+    println!("{}", print_rir(&vm.compiled(id).unwrap().rir));
 }
