@@ -10,6 +10,10 @@
 //! Rendering is canonical enough to round-trip: `render → parse → render`
 //! reproduces the exact same string (object key order is preserved, and
 //! `f64` uses Rust's shortest-roundtrip formatting).
+//!
+//! Every artifact validator walks its document with the one [`Check`]
+//! accumulator defined here, and [`check_document`] is the single
+//! parse-then-validate entry the CLI and tests use for all of them.
 
 /// A JSON document.
 #[derive(Clone, Debug, PartialEq)]
@@ -28,6 +32,26 @@ impl Json {
         match self {
             Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
             _ => None,
+        }
+    }
+
+    /// Append a field to an object.
+    ///
+    /// # Panics
+    ///
+    /// If `self` is not an object.
+    pub fn push(&mut self, key: &str, v: Json) {
+        match self {
+            Json::Obj(fields) => fields.push((key.to_string(), v)),
+            other => panic!("push({key:?}) on non-object JSON {other:?}"),
+        }
+    }
+
+    /// [`Json::push`] every `(name, count)` pair, in iteration order
+    /// (counter tables render through this).
+    pub fn push_counts<'a>(&mut self, pairs: impl IntoIterator<Item = (&'a str, u64)>) {
+        for (key, v) in pairs {
+            self.push(key, Json::num(v as f64));
         }
     }
 
@@ -72,6 +96,7 @@ impl Json {
             Json::Null
         }
     }
+
 
     /// Render with 2-space indentation and a trailing newline.
     pub fn render(&self) -> String {
@@ -366,6 +391,154 @@ impl<'a> Parser<'a> {
     }
 }
 
+// ---- schema validation ----
+
+/// The host description every timed artifact carries (`$.environment`),
+/// checked by [`Check::environment`].
+pub fn environment() -> Json {
+    let cpus = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+    Json::obj(vec![
+        ("os", Json::Str(std::env::consts::OS.to_string())),
+        ("arch", Json::Str(std::env::consts::ARCH.to_string())),
+        ("cpus", Json::num(cpus as f64)),
+        ("package_version", Json::Str(env!("CARGO_PKG_VERSION").to_string())),
+        ("debug_assertions", Json::Bool(cfg!(debug_assertions))),
+    ])
+}
+
+/// What [`Check::obj`] returns for a missing object (compared by address).
+static ABSENT: Json = Json::Null;
+
+/// Schema-walking accumulator shared by every artifact validator:
+/// collects every problem (as `"<path>: <what>"`) instead of stopping at
+/// the first.
+#[derive(Debug, Default)]
+pub struct Check {
+    problems: Vec<String>,
+}
+
+impl Check {
+    pub fn new() -> Check {
+        Check::default()
+    }
+
+    /// `Ok` when nothing failed, else every problem in discovery order.
+    pub fn finish(self) -> Result<(), Vec<String>> {
+        if self.problems.is_empty() {
+            Ok(())
+        } else {
+            Err(self.problems)
+        }
+    }
+
+    pub fn fail(&mut self, path: &str, what: &str) {
+        self.problems.push(format!("{path}: {what}"));
+    }
+
+    /// `v[key]` through `as_t`, recording why when it is missing or of the
+    /// wrong type. Lookups inside an object [`Check::obj`] already
+    /// reported missing stay silent: one absent object is one problem.
+    fn field<'j, T>(
+        &mut self,
+        v: &'j Json,
+        path: &str,
+        key: &str,
+        kind: &str,
+        as_t: impl FnOnce(&'j Json) -> Option<T>,
+    ) -> Option<T> {
+        let t = v.get(key).and_then(as_t);
+        if t.is_none() && !std::ptr::eq(v, &ABSENT) {
+            self.fail(path, &format!("missing or non-{kind} field '{key}'"));
+        }
+        t
+    }
+
+    pub fn num(&mut self, v: &Json, path: &str, key: &str) -> Option<f64> {
+        self.field(v, path, key, "numeric", Json::as_f64)
+    }
+
+    /// [`Check::num`] over every key, e.g. a counter table's names.
+    pub fn nums(&mut self, v: &Json, path: &str, keys: &[&str]) {
+        for key in keys {
+            self.num(v, path, key);
+        }
+    }
+
+    /// `v[total]` must equal the sum of `v[parts]`: a partition, not
+    /// advisory. Silent when any of them is missing, which the key checks
+    /// already report, so every problem is reported once.
+    pub fn partition(&mut self, v: &Json, path: &str, total: &str, parts: &[&str]) {
+        let get = |k: &str| v.get(k).and_then(Json::as_f64);
+        let Some(t) = get(total) else { return };
+        let Some(values) = parts.iter().map(|k| get(k)).collect::<Option<Vec<f64>>>() else {
+            return;
+        };
+        if values.iter().sum::<f64>() != t {
+            let split = values.iter().map(f64::to_string).collect::<Vec<_>>().join("+");
+            self.fail(path, &format!("mechanism split {split} != {total} {t}"));
+        }
+    }
+
+    pub fn str_field(&mut self, v: &Json, path: &str, key: &str) -> Option<String> {
+        self.field(v, path, key, "string", Json::as_str).map(str::to_string)
+    }
+
+    pub fn bool_field(&mut self, v: &Json, path: &str, key: &str) {
+        self.field(v, path, key, "boolean", Json::as_bool);
+    }
+
+    /// The array at `key`, or an empty slice (after recording why).
+    pub fn arr<'j>(&mut self, v: &'j Json, path: &str, key: &str) -> &'j [Json] {
+        self.field(v, path, key, "array", Json::as_arr).unwrap_or(&[])
+    }
+
+    /// The object at `key`, or a placeholder (after recording why) whose
+    /// own field checks stay silent.
+    pub fn obj<'j>(&mut self, v: &'j Json, path: &str, key: &str) -> &'j Json {
+        let is_obj = |o: &'j Json| matches!(o, Json::Obj(_)).then_some(o);
+        self.field(v, path, key, "object", is_obj).unwrap_or(&ABSENT)
+    }
+
+    /// `$.schema_version` must be one of `accepted`.
+    pub fn schema_version(&mut self, doc: &Json, accepted: &[f64]) {
+        match doc.get("schema_version").and_then(Json::as_f64) {
+            Some(v) if accepted.contains(&v) => {}
+            Some(v) => self.fail("$", &format!("unsupported schema_version {v}")),
+            None => self.fail("$", "missing numeric schema_version"),
+        }
+    }
+
+    /// `$.suite` must be exactly `expected`.
+    pub fn suite(&mut self, doc: &Json, expected: &str) {
+        match self.str_field(doc, "$", "suite") {
+            Some(s) if s != expected => {
+                self.fail("$", &format!("suite must be '{expected}', got '{s}'"))
+            }
+            _ => {}
+        }
+    }
+
+    /// `$.environment` must have the shape [`environment`] emits.
+    pub fn environment(&mut self, doc: &Json) {
+        let env = self.obj(doc, "$", "environment");
+        let path = "$.environment";
+        self.str_field(env, path, "os");
+        self.str_field(env, path, "arch");
+        self.num(env, path, "cpus");
+        self.str_field(env, path, "package_version");
+        self.bool_field(env, path, "debug_assertions");
+    }
+}
+
+/// Parse `text` and run `validate` over it: the one entry for `--check`,
+/// emitter self-checks and tests, whatever the artifact.
+pub fn check_document(
+    text: &str,
+    validate: impl Fn(&Json) -> Result<(), Vec<String>>,
+) -> Result<(), Vec<String>> {
+    validate(&Json::parse(text).map_err(|e| vec![e.to_string()])?)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -411,6 +584,55 @@ mod tests {
         for bad in ["{", "[1,", "{\"a\" 1}", "tru", "1 2", "\"unterminated"] {
             assert!(Json::parse(bad).is_err(), "{bad:?} should fail");
         }
+    }
+
+    #[test]
+    fn push_appends_an_object_field() {
+        let mut v = Json::parse(r#"{"c": 2}"#).unwrap();
+        v.push("d", Json::Bool(true));
+        v.push_counts([("e", 3)]);
+        assert_eq!(v, Json::parse(r#"{"c": 2, "d": true, "e": 3}"#).unwrap());
+    }
+
+    #[test]
+    fn check_accepts_the_shared_header_and_reports_every_problem() {
+        let doc = Json::obj(vec![
+            ("schema_version", Json::num(1.1)),
+            ("suite", Json::Str("serve".into())),
+            ("environment", environment()),
+        ]);
+        let header = |doc: &Json| {
+            let mut c = Check::new();
+            c.schema_version(doc, &[1.0, 1.1]);
+            c.suite(doc, "serve");
+            c.environment(doc);
+            c.finish()
+        };
+        header(&doc).unwrap();
+        check_document(&doc.render(), header).unwrap();
+
+        let bad = Json::obj(vec![
+            ("schema_version", Json::num(9.0)),
+            ("suite", Json::Str("grande".into())),
+        ]);
+        let problems = header(&bad).unwrap_err();
+        assert_eq!(problems.len(), 3, "{problems:#?}");
+        assert!(problems[0].contains("unsupported schema_version 9"));
+        assert!(problems[1].contains("suite must be 'serve', got 'grande'"));
+        assert!(problems[2].contains("'environment'"));
+        assert!(check_document("{", header).unwrap_err()[0].contains("JSON error"));
+    }
+
+    #[test]
+    fn partition_is_silent_on_missing_parts_and_exact_otherwise() {
+        let v = Json::parse(r#"{"t": 3, "a": 1, "b": 2}"#).unwrap();
+        let mut c = Check::new();
+        c.partition(&v, "$", "t", &["a", "b"]);
+        c.partition(&v, "$", "t", &["a", "missing"]);
+        assert!(c.finish().is_ok());
+        let mut c = Check::new();
+        c.partition(&v, "$", "t", &["a"]);
+        assert_eq!(c.finish().unwrap_err(), ["$: mechanism split 1 != t 3"]);
     }
 
     #[test]

@@ -12,13 +12,17 @@
 //! `hpcnet-report bench --check FILE` validates an existing artifact
 //! (the CI smoke job does both).
 
+use crate::counters::{
+    check_observer_totals, check_vm_counters, observer_totals_json, vm_counters_json,
+};
 use crate::graphs::Config;
-use crate::json::Json;
 use crate::measure::{
     time_entry, MeasureError, Measurement, MAX_SAMPLES, MIN_SAMPLES, TARGET_SAMPLES,
 };
+use crate::profile::hot_methods;
 use crate::report::Table;
 use crate::stats::Classification;
+use hpcnet_core::json::{environment, Check, Json};
 use hpcnet_core::{
     lookup_group, run_entry, vm_for, BenchGroup, Entry, ObserveLevel, ResetStats, Unit, Vm,
     VmProfile,
@@ -33,7 +37,9 @@ use std::sync::Arc;
 /// (`bce_elided_idiom`/`bce_elided_range`/`bce_elided_versioned`, plus
 /// `loops_versioned`), and `attribution` carries the matching dynamic
 /// split of elided accesses actually executed.
-pub const SCHEMA_VERSION: f64 = 1.2;
+/// 1.3: `attribution` is the shared observer-totals object (the profile
+/// artifact's), so it gains `eh_catch`/`eh_finally`/`eh_fault_path`.
+pub const SCHEMA_VERSION: f64 = 1.3;
 
 /// Benchmark groups covered by the default `bench` artifact: the loop
 /// suite (the cheapest micro group, exercises the loop-aware JIT tier)
@@ -56,40 +62,6 @@ fn unit_str(u: Unit) -> &'static str {
     }
 }
 
-fn environment() -> Json {
-    let cpus = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    Json::obj(vec![
-        ("os", Json::Str(std::env::consts::OS.to_string())),
-        ("arch", Json::Str(std::env::consts::ARCH.to_string())),
-        ("cpus", Json::num(cpus as f64)),
-        (
-            "package_version",
-            Json::Str(env!("CARGO_PKG_VERSION").to_string()),
-        ),
-        ("debug_assertions", Json::Bool(cfg!(debug_assertions))),
-    ])
-}
-
-fn counters_json(c: hpcnet_core::CountersSnapshot) -> Json {
-    Json::obj(vec![
-        ("jit_compiles", Json::num(c.jit_compiles as f64)),
-        ("loops_found", Json::num(c.loops_found as f64)),
-        (
-            "bounds_checks_eliminated",
-            Json::num(c.bounds_checks_eliminated as f64),
-        ),
-        ("licm_hoisted", Json::num(c.licm_hoisted as f64)),
-        ("bce_elided_idiom", Json::num(c.bce_elided_idiom as f64)),
-        ("bce_elided_range", Json::num(c.bce_elided_range as f64)),
-        ("bce_elided_versioned", Json::num(c.bce_elided_versioned as f64)),
-        ("loops_versioned", Json::num(c.loops_versioned as f64)),
-        ("calls", Json::num(c.calls as f64)),
-        ("throws", Json::num(c.throws as f64)),
-    ])
-}
-
 /// One extra *observed* invocation of the cell's entry on a fresh VM at
 /// [`ObserveLevel::Counters`]: where the timed run's opcodes went. The
 /// observed VM is separate from the timed one, so observation can never
@@ -99,38 +71,14 @@ fn attribution_json(group: &BenchGroup, e: &Entry, p: VmProfile, n: i32) -> Json
     let vm = vm_for(group, p.with_observe(ObserveLevel::Counters));
     run_entry(&vm, e, n).expect("attribution re-run of a cell that timed successfully");
     let r = vm.observe_report().expect("observability is on");
-    let mut hot: Vec<_> = r.methods.iter().filter(|m| m.invocations > 0).collect();
-    hot.sort_by(|a, b| b.ops_excl.cmp(&a.ops_excl).then(a.method.0.cmp(&b.method.0)));
-    let hot_methods = hot
+    let hot_methods = hot_methods(&r)
         .iter()
         .take(3)
         .map(|m| Json::Arr(vec![Json::Str(m.name.clone()), Json::num(m.ops_excl as f64)]))
         .collect();
-    Json::obj(vec![
-        ("ops", Json::num(r.total_ops as f64)),
-        ("allocs", Json::num(r.total_allocs as f64)),
-        (
-            "bounds_checks_executed",
-            Json::num(r.total_of(|m| m.bounds_checks_executed) as f64),
-        ),
-        (
-            "bounds_checks_elided",
-            Json::num(r.total_of(|m| m.bounds_checks_elided) as f64),
-        ),
-        (
-            "bounds_checks_elided_idiom",
-            Json::num(r.total_of(|m| m.bounds_checks_elided_idiom) as f64),
-        ),
-        (
-            "bounds_checks_elided_range",
-            Json::num(r.total_of(|m| m.bounds_checks_elided_range) as f64),
-        ),
-        (
-            "bounds_checks_elided_versioned",
-            Json::num(r.total_of(|m| m.bounds_checks_elided_versioned) as f64),
-        ),
-        ("hot_methods", Json::Arr(hot_methods)),
-    ])
+    let mut attribution = observer_totals_json(&r);
+    attribution.push("hot_methods", Json::Arr(hot_methods));
+    attribution
 }
 
 /// Warm replays per cell after the timed series: enough to prove the
@@ -251,7 +199,7 @@ pub fn run_bench_groups(cfg: &Config, group_ids: &[&str]) -> Result<BenchRun, Me
                 let vm = vm_for(&g, *p);
                 let before = vm.counters.snapshot();
                 let m = time_entry(&vm, e, n, cfg.min_time)?;
-                let counters = counters_json(vm.counters.snapshot().delta(&before));
+                let counters = vm_counters_json(&vm.counters.snapshot().delta(&before));
                 let attribution = attribution_json(&g, e, *p, n);
                 let reuse = reset_reuse_json(&vm, e, n, m.checksum);
                 cells.push(m.rate);
@@ -294,96 +242,17 @@ pub fn run_bench_groups(cfg: &Config, group_ids: &[&str]) -> Result<BenchRun, Me
 
 // ---- schema validation ----
 
-/// Shared schema-walking accumulator for the bench and profile document
-/// validators: collects every problem instead of stopping at the first.
-pub(crate) struct Check {
-    problems: Vec<String>,
-}
-
-impl Check {
-    pub(crate) fn new() -> Check {
-        Check { problems: Vec::new() }
-    }
-
-    pub(crate) fn finish(self) -> Result<(), Vec<String>> {
-        if self.problems.is_empty() {
-            Ok(())
-        } else {
-            Err(self.problems)
-        }
-    }
-
-    pub(crate) fn fail(&mut self, path: &str, what: &str) {
-        self.problems.push(format!("{path}: {what}"));
-    }
-
-    pub(crate) fn num(&mut self, v: &Json, path: &str, key: &str) -> Option<f64> {
-        match v.get(key).and_then(Json::as_f64) {
-            Some(n) => Some(n),
-            None => {
-                self.fail(path, &format!("missing or non-numeric field '{key}'"));
-                None
-            }
-        }
-    }
-
-    pub(crate) fn str_field(&mut self, v: &Json, path: &str, key: &str) -> Option<String> {
-        match v.get(key).and_then(Json::as_str) {
-            Some(s) => Some(s.to_string()),
-            None => {
-                self.fail(path, &format!("missing or non-string field '{key}'"));
-                None
-            }
-        }
-    }
-
-    pub(crate) fn bool_field(&mut self, v: &Json, path: &str, key: &str) {
-        if v.get(key).and_then(Json::as_bool).is_none() {
-            self.fail(path, &format!("missing or non-boolean field '{key}'"));
-        }
-    }
-
-    pub(crate) fn arr<'j>(&mut self, v: &'j Json, path: &str, key: &str) -> &'j [Json] {
-        match v.get(key).and_then(Json::as_arr) {
-            Some(a) => a,
-            None => {
-                self.fail(path, &format!("missing or non-array field '{key}'"));
-                &[]
-            }
-        }
-    }
-}
-
 /// Validate a parsed bench document against the schema in
 /// docs/MEASUREMENT.md. Returns every problem found, not just the first.
 pub fn validate(doc: &Json) -> Result<(), Vec<String>> {
     let mut c = Check::new();
-    match doc.get("schema_version").and_then(Json::as_f64) {
-        Some(v) if v == SCHEMA_VERSION => {}
-        Some(v) => c.fail("$", &format!("unsupported schema_version {v}")),
-        None => c.fail("$", "missing numeric schema_version"),
-    }
-    c.str_field(doc, "$", "suite");
+    c.schema_version(doc, &[SCHEMA_VERSION]);
+    c.suite(doc, "grande");
+    c.environment(doc);
 
-    if let Some(env) = doc.get("environment") {
-        c.str_field(env, "$.environment", "os");
-        c.str_field(env, "$.environment", "arch");
-        c.num(env, "$.environment", "cpus");
-        c.str_field(env, "$.environment", "package_version");
-        c.bool_field(env, "$.environment", "debug_assertions");
-    } else {
-        c.fail("$", "missing environment object");
-    }
-
-    if let Some(cfg) = doc.get("config") {
-        c.num(cfg, "$.config", "min_time_ms");
-        c.bool_field(cfg, "$.config", "large");
-        c.num(cfg, "$.config", "min_samples");
-        c.num(cfg, "$.config", "target_samples");
-        c.num(cfg, "$.config", "max_samples");
-    } else {
-        c.fail("$", "missing config object");
-    }
+    let cfg = c.obj(doc, "$", "config");
+    c.nums(cfg, "$.config", &["min_time_ms", "min_samples", "target_samples", "max_samples"]);
+    c.bool_field(cfg, "$.config", "large");
 
     let groups = c.arr(doc, "$", "groups");
     if groups.is_empty() {
@@ -459,97 +328,38 @@ fn validate_measurement(c: &mut Check, p: &Json, path: &str) {
             &format!("iter_secs ({secs_len}) and iter_batch ({batch_len}) lengths differ"),
         );
     }
-    if let Some(counters) = p.get("counters") {
-        for key in [
-            "jit_compiles",
-            "loops_found",
-            "bounds_checks_eliminated",
-            "licm_hoisted",
-            "bce_elided_idiom",
-            "bce_elided_range",
-            "bce_elided_versioned",
-            "loops_versioned",
-            "calls",
-            "throws",
-        ] {
-            c.num(counters, &format!("{path}.counters"), key);
+    let counters = c.obj(p, path, "counters");
+    check_vm_counters(c, counters, &format!("{path}.counters"));
+    let apath = format!("{path}.attribution");
+    let attr = c.obj(p, path, "attribution");
+    check_observer_totals(c, attr, &apath);
+    for (hi, h) in c.arr(attr, &apath, "hot_methods").iter().enumerate() {
+        match h.as_arr() {
+            Some([name, ops]) if name.as_str().is_some() && ops.as_f64().is_some() => {}
+            _ => c.fail(&apath, &format!("hot_methods[{hi}] must be [name, ops_excl]")),
         }
-        // The mechanism split is a partition of the total, not advisory.
-        let cpath = format!("{path}.counters");
-        let get = |c: &mut Check, key: &str| c.num(counters, &cpath, key);
-        if let (Some(total), Some(idiom), Some(range), Some(ver)) = (
-            get(c, "bounds_checks_eliminated"),
-            get(c, "bce_elided_idiom"),
-            get(c, "bce_elided_range"),
-            get(c, "bce_elided_versioned"),
-        ) {
-            if idiom + range + ver != total {
-                c.fail(
-                    &cpath,
-                    &format!(
-                        "mechanism split {idiom}+{range}+{ver} != bounds_checks_eliminated {total}"
-                    ),
-                );
-            }
-        }
-    } else {
-        c.fail(path, "missing counters object");
     }
-    if let Some(attr) = p.get("attribution") {
-        let apath = format!("{path}.attribution");
-        for key in [
-            "ops",
-            "allocs",
-            "bounds_checks_executed",
-            "bounds_checks_elided",
-            "bounds_checks_elided_idiom",
-            "bounds_checks_elided_range",
-            "bounds_checks_elided_versioned",
-        ] {
-            c.num(attr, &apath, key);
-        }
-        for (hi, h) in c.arr(attr, &apath, "hot_methods").to_vec().iter().enumerate() {
-            match h.as_arr() {
-                Some([name, ops]) if name.as_str().is_some() && ops.as_f64().is_some() => {}
-                _ => c.fail(&apath, &format!("hot_methods[{hi}] must be [name, ops_excl]")),
-            }
-        }
-    } else {
-        c.fail(path, "missing attribution object");
+    let rpath = format!("{path}.reset_reuse");
+    let reuse = c.obj(p, path, "reset_reuse");
+    c.nums(
+        reuse,
+        &rpath,
+        &["replays", "jit_compiles_post_warmup", "objects_tracked", "objects_restored", "statics_restored"],
+    );
+    match reuse.get("jit_compiles_post_warmup").and_then(Json::as_f64) {
+        Some(0.0) | None => {}
+        Some(n) => c.fail(&rpath, &format!("cell recompiled after warmup ({n} JIT compiles)")),
     }
-    if let Some(reuse) = p.get("reset_reuse") {
-        let rpath = format!("{path}.reset_reuse");
-        for key in [
-            "replays",
-            "jit_compiles_post_warmup",
-            "objects_tracked",
-            "objects_restored",
-            "statics_restored",
-        ] {
-            c.num(reuse, &rpath, key);
-        }
-        match reuse.get("jit_compiles_post_warmup").and_then(Json::as_f64) {
-            Some(0.0) | None => {}
-            Some(n) => c.fail(&rpath, &format!("cell recompiled after warmup ({n} JIT compiles)")),
-        }
-        match reuse.get("replays").and_then(Json::as_f64) {
-            Some(n) if n < 1.0 => c.fail(&rpath, "fewer than 1 warm replay recorded"),
-            _ => {}
-        }
-    } else {
-        c.fail(path, "missing reset_reuse object");
+    match reuse.get("replays").and_then(Json::as_f64) {
+        Some(n) if n < 1.0 => c.fail(&rpath, "fewer than 1 warm replay recorded"),
+        _ => {}
     }
-}
-
-/// Parse and validate a bench document from its JSON text.
-pub fn check_document(text: &str) -> Result<(), Vec<String>> {
-    let doc = Json::parse(text).map_err(|e| vec![e.to_string()])?;
-    validate(&doc)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hpcnet_core::json::check_document;
     use std::time::Duration;
 
     fn quick() -> Config {
@@ -572,7 +382,7 @@ mod tests {
         validate(&run.doc).unwrap_or_else(|p| panic!("invalid document: {p:#?}"));
         // Text round-trip: render → parse → validate → identical render.
         let text = run.doc.render();
-        check_document(&text).unwrap();
+        check_document(&text, validate).unwrap();
         assert_eq!(Json::parse(&text).unwrap().render(), text);
         // The summary table carries a ±CI note on every cell.
         assert_eq!(run.tables.len(), 1);
@@ -609,6 +419,19 @@ mod tests {
                 assert!(!attr.get("hot_methods").unwrap().as_arr().unwrap().is_empty());
             }
         }
+    }
+
+    #[test]
+    fn every_counter_key_is_required_and_reported_once() {
+        use crate::counters::tests::assert_each_key_required;
+        use hpcnet_core::{CountersSnapshot, MethodProfile};
+        let doc = &shared_run().doc;
+        let cell = "groups/0/entries/0/profiles/0";
+        let counters = format!("{cell}/counters");
+        assert_each_key_required(doc, &counters, CountersSnapshot::NAMES, validate);
+        let attribution = format!("{cell}/attribution");
+        assert_each_key_required(doc, &attribution, &["ops"], validate);
+        assert_each_key_required(doc, &attribution, MethodProfile::COUNTER_NAMES, validate);
     }
 
     #[test]
@@ -658,6 +481,6 @@ mod tests {
             "{problems:#?}"
         );
 
-        assert!(check_document("{not json").is_err());
+        assert!(check_document("{not json", validate).is_err());
     }
 }

@@ -6,9 +6,9 @@
 //! paper-vs-measured comparisons.
 
 use crate::bench::cell_note;
-use crate::json::Json;
 use crate::measure::{native_baseline, time_entry, time_native, Measurement};
 use crate::report::Table;
+use hpcnet_core::json::Json;
 use hpcnet_core::{lookup_entry, lookup_group, vm_for, BenchGroup, Entry, Vm, VmProfile};
 use std::sync::Arc;
 use std::time::Duration;
@@ -477,8 +477,7 @@ pub fn ablation(cfg: &Config) -> Table {
 /// docs/OPTIMIZATIONS.md maps every mechanism to its `PassConfig` knob).
 ///
 /// Side effect: writes `BENCH_opt.json` to the working directory with the
-/// per-kernel timings and the full counter set (natural loops found,
-/// checks eliminated, LICM hoists, JIT compiles) per profile.
+/// per-kernel timings and the full VM counter table per profile.
 pub fn opt_counters(cfg: &Config) -> Table {
     let g = group("scimark");
     let profiles = VmProfile::scimark_lineup();
@@ -501,7 +500,7 @@ pub fn opt_counters(cfg: &Config) -> Table {
             let m = timed(&vm, e, n, cfg.min_time);
             let c = vm.counters.snapshot();
             cells.push(c.bounds_checks_eliminated as f64);
-            per_profile[pi].push(Json::obj(vec![
+            let mut kernel = Json::obj(vec![
                 ("id", Json::Str(eid.to_string())),
                 ("label", Json::Str(label.to_string())),
                 ("mflops", Json::num(m.rate / 1e6)),
@@ -509,14 +508,9 @@ pub fn opt_counters(cfg: &Config) -> Table {
                     "classification",
                     Json::Str(m.stats.classification.as_str().to_string()),
                 ),
-                ("loops_found", Json::num(c.loops_found as f64)),
-                (
-                    "bounds_checks_eliminated",
-                    Json::num(c.bounds_checks_eliminated as f64),
-                ),
-                ("licm_hoisted", Json::num(c.licm_hoisted as f64)),
-                ("jit_compiles", Json::num(c.jit_compiles as f64)),
-            ]));
+            ]);
+            kernel.push_counts(c.iter());
+            per_profile[pi].push(kernel);
         }
         table.add_row(label, cells);
     }

@@ -5,15 +5,16 @@
 //! timing protocol ([`measure`] + [`stats`], docs/MEASUREMENT.md) applied
 //! uniformly to all engine profiles and the native baseline, text/CSV
 //! rendering ([`report`]), and the schema'd `BENCH_grande.json` artifact
-//! ([`mod@bench`], emitted via the dependency-free [`json`] writer).
+//! ([`mod@bench`], emitted via the dependency-free [`hpcnet_core::json`]
+//! writer).
 //!
 //! Run `cargo run --release -p hpcnet-harness --bin hpcnet-report -- all`
 //! to reproduce the full set (`-- bench` for the JSON artifact); see
 //! EXPERIMENTS.md for recorded results.
 
 pub mod bench;
+mod counters;
 pub mod graphs;
-pub mod json;
 pub mod measure;
 pub mod profile;
 pub mod report;

@@ -25,6 +25,7 @@
 //! usage and a non-zero exit — never a panic. The only panics left in this
 //! binary are genuine internal bugs.
 
+use hpcnet_core::json::{check_document, Json};
 use hpcnet_harness::{all_reports, Config};
 use std::time::Duration;
 
@@ -67,6 +68,38 @@ fn write_or_die(path: &str, text: &str) {
 fn read_or_die(path: &str) -> String {
     std::fs::read_to_string(path)
         .unwrap_or_else(|e| fail_run(&format!("cannot read {path}: {e}")))
+}
+
+/// An artifact's schema validator (`bench::validate`, `profile::validate`,
+/// `report::validate`, `trace::validate`).
+type Validate = fn(&Json) -> Result<(), Vec<String>>;
+
+/// Print every schema problem under `header`, exit 1.
+fn fail_schema(header: &str, problems: Vec<String>) -> ! {
+    eprintln!("{header}");
+    for p in problems {
+        eprintln!("  - {p}");
+    }
+    std::process::exit(1);
+}
+
+/// `--check FILE`: parse and schema-check an existing `kind` artifact.
+fn check_file(path: &str, kind: &str, validate: Validate) {
+    match check_document(&read_or_die(path), validate) {
+        Ok(()) => println!("{path}: schema-valid {kind} document"),
+        Err(problems) => fail_schema(&format!("{path}: INVALID {kind} document:"), problems),
+    }
+}
+
+/// Write an artifact, then re-validate the exact bytes written before
+/// declaring success, so a schema regression can never ship a bad file.
+fn write_checked(out: &str, doc: &Json, validate: Validate) {
+    let text = doc.render();
+    write_or_die(out, &text);
+    if let Err(problems) = check_document(&text, validate) {
+        fail_schema(&format!("{out}: emitted document FAILED schema validation:"), problems);
+    }
+    eprintln!("wrote {out} ({} bytes, schema-valid)", text.len());
 }
 
 fn main() {
@@ -203,18 +236,7 @@ fn run_profile(args: &[String]) {
     }
     // Validation-only mode: parse + schema-check an existing artifact.
     if let Some(path) = check {
-        let text = read_or_die(&path);
-        match hpcnet_harness::profile::check_document(&text) {
-            Ok(()) => println!("{path}: schema-valid profile document"),
-            Err(problems) => {
-                eprintln!("{path}: INVALID profile document:");
-                for p in problems {
-                    eprintln!("  - {p}");
-                }
-                std::process::exit(1);
-            }
-        }
-        return;
+        return check_file(&path, "profile", hpcnet_harness::profile::validate);
     }
     let entry = entry.unwrap_or_else(|| {
         fail_usage(&u, "profile needs a benchmark entry id (e.g. loop.for, scimark.fft)")
@@ -232,17 +254,7 @@ fn run_profile(args: &[String]) {
     println!("{}", run.hot.render());
     println!("{}", run.attribution.render());
     let out = out.unwrap_or_else(|| format!("PROFILE_{entry}.json"));
-    let text = run.doc.render();
-    write_or_die(&out, &text);
-    // Self-check the exact bytes written, mirroring `bench`.
-    if let Err(problems) = hpcnet_harness::profile::check_document(&text) {
-        eprintln!("{out}: emitted document FAILED schema validation:");
-        for p in problems {
-            eprintln!("  - {p}");
-        }
-        std::process::exit(1);
-    }
-    eprintln!("wrote {out} ({} bytes, schema-valid)", text.len());
+    write_checked(&out, &run.doc, hpcnet_harness::profile::validate);
 }
 
 fn run_bench(args: &[String]) {
@@ -272,36 +284,14 @@ fn run_bench(args: &[String]) {
     }
     // Validation-only mode: parse + schema-check an existing artifact.
     if let Some(path) = check {
-        let text = read_or_die(&path);
-        match hpcnet_harness::bench::check_document(&text) {
-            Ok(()) => println!("{path}: schema-valid bench document"),
-            Err(problems) => {
-                eprintln!("{path}: INVALID bench document:");
-                for p in problems {
-                    eprintln!("  - {p}");
-                }
-                std::process::exit(1);
-            }
-        }
-        return;
+        return check_file(&path, "bench", hpcnet_harness::bench::validate);
     }
     let run = hpcnet_harness::bench::run_bench(&cfg)
         .unwrap_or_else(|e| fail_run(&format!("bench failed: {e}")));
     for t in &run.tables {
         println!("{}", t.render());
     }
-    let text = run.doc.render();
-    write_or_die(&out, &text);
-    // Self-check: re-validate the exact bytes written before declaring
-    // success, so a schema regression can never ship a bad artifact.
-    if let Err(problems) = hpcnet_harness::bench::check_document(&text) {
-        eprintln!("{out}: emitted document FAILED schema validation:");
-        for p in problems {
-            eprintln!("  - {p}");
-        }
-        std::process::exit(1);
-    }
-    eprintln!("wrote {out} ({} bytes, schema-valid)", text.len());
+    write_checked(&out, &run.doc, hpcnet_harness::bench::validate);
 }
 
 fn run_conform(args: &[String]) {
@@ -376,18 +366,7 @@ fn run_serve(args: &[String]) {
     }
     // Validation-only mode: parse + schema-check an existing artifact.
     if let Some(path) = check {
-        let text = read_or_die(&path);
-        match hpcnet_serve::report::check_document(&text) {
-            Ok(()) => println!("{path}: schema-valid serve document"),
-            Err(problems) => {
-                eprintln!("{path}: INVALID serve document:");
-                for p in problems {
-                    eprintln!("  - {p}");
-                }
-                std::process::exit(1);
-            }
-        }
-        return;
+        return check_file(&path, "serve", hpcnet_serve::report::validate);
     }
     if jobs == 0 {
         fail_usage(&u, "--jobs must be at least 1");
@@ -423,17 +402,7 @@ fn run_serve(args: &[String]) {
         }
         eprintln!("determinism: per-job outcomes identical at {workers} worker(s) and 1");
     }
-    let text = doc.render();
-    write_or_die(&out, &text);
-    // Self-check the exact bytes written, mirroring `bench` and `profile`.
-    if let Err(problems) = hpcnet_serve::report::check_document(&text) {
-        eprintln!("{out}: emitted document FAILED schema validation:");
-        for p in problems {
-            eprintln!("  - {p}");
-        }
-        std::process::exit(1);
-    }
-    eprintln!("wrote {out} ({} bytes, schema-valid)", text.len());
+    write_checked(&out, &doc, hpcnet_serve::report::validate);
 }
 
 fn run_trace(args: &[String]) {
@@ -480,18 +449,7 @@ fn run_trace(args: &[String]) {
     }
     // Validation-only mode: parse + schema-check an existing artifact.
     if let Some(path) = check {
-        let text = read_or_die(&path);
-        match hpcnet_serve::trace::check_document(&text) {
-            Ok(()) => println!("{path}: schema-valid trace document"),
-            Err(problems) => {
-                eprintln!("{path}: INVALID trace document:");
-                for p in problems {
-                    eprintln!("  - {p}");
-                }
-                std::process::exit(1);
-            }
-        }
-        return;
+        return check_file(&path, "trace", hpcnet_serve::trace::validate);
     }
     if jobs == 0 {
         fail_usage(&u, "--jobs must be at least 1");
@@ -561,7 +519,7 @@ fn run_trace(args: &[String]) {
             &workload,
             &hpcnet_serve::ServeConfig { workers: 1, ..cfg },
         );
-        let solo_doc = hpcnet_serve::trace::document(&solo, hpcnet_core::json::Json::Null);
+        let solo_doc = hpcnet_serve::trace::document(&solo, Json::Null);
         let a = hpcnet_serve::trace::structural_fingerprint(&doc);
         let b = hpcnet_serve::trace::structural_fingerprint(&solo_doc);
         if a != b {
@@ -571,17 +529,7 @@ fn run_trace(args: &[String]) {
         }
         eprintln!("determinism: structural spans identical at {workers} worker(s) and 1");
     }
-    let text = doc.render();
-    write_or_die(&out, &text);
-    // Self-check the exact bytes written, mirroring the other emitters.
-    if let Err(problems) = hpcnet_serve::trace::check_document(&text) {
-        eprintln!("{out}: emitted document FAILED schema validation:");
-        for p in problems {
-            eprintln!("  - {p}");
-        }
-        std::process::exit(1);
-    }
-    eprintln!("wrote {out} ({} bytes, schema-valid)", text.len());
+    write_checked(&out, &doc, hpcnet_serve::trace::validate);
     let chrome_text = hpcnet_serve::trace::chrome_trace(&report).render();
     write_or_die(&chrome, &chrome_text);
     eprintln!("wrote {chrome} ({} bytes, chrome://tracing format)", chrome_text.len());

@@ -23,13 +23,16 @@
 //! prints the rates, demonstrating that `Off` costs nothing measurable.
 //! Those rates go to stdout only, never into the JSON.
 
-use crate::bench::Check;
-use crate::json::Json;
+use crate::counters::{
+    check_method_counters, check_observer_totals, check_vm_counters, elided_split,
+    observer_totals_json,
+};
 use crate::measure::{time_entry, MeasureError};
 use crate::report::Table;
+use hpcnet_core::json::{Check, Json};
 use hpcnet_core::{
     find_entry, registry, run_entry, vm_for, BenchGroup, CountersSnapshot, Entry, Event,
-    ObserveLevel, ObserveReport, Tier, Vm, VmProfile,
+    MethodProfile, ObserveLevel, ObserveReport, Tier, Vm, VmProfile,
 };
 use std::sync::Arc;
 use std::time::Duration;
@@ -39,7 +42,10 @@ use std::time::Duration;
 /// by mechanism (idiom guard / symbolic range / loop versioning), the
 /// passes object carries the `range_abce`/`loop_versioning` knobs, and
 /// attribution deltas include the per-mechanism dynamic split.
-pub const PROFILE_SCHEMA_VERSION: f64 = 1.1;
+/// 1.2: `totals` carries the VM counter table under its own names
+/// (`bounds_checks_eliminated_static` became `bounds_checks_eliminated`,
+/// `loops_found` added).
+pub const PROFILE_SCHEMA_VERSION: f64 = 1.2;
 
 /// Hot methods kept per profile (the rest are summarized by
 /// `methods_total` so the cap is never silent).
@@ -49,7 +55,7 @@ const TOP_METHODS: usize = 12;
 const TOP_KINDS: usize = 8;
 
 /// Configuration for a profile run.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct ProfileConfig {
     /// Explicit problem size; overrides the registry sizes.
     pub n: Option<i32>,
@@ -57,12 +63,6 @@ pub struct ProfileConfig {
     pub large: bool,
     /// Shrink the problem size for smoke tests (~1/100 of small).
     pub quick: bool,
-}
-
-impl Default for ProfileConfig {
-    fn default() -> Self {
-        ProfileConfig { n: None, large: false, quick: false }
-    }
 }
 
 impl ProfileConfig {
@@ -124,48 +124,11 @@ fn profile_one(
     Ok(ProfiledCell { profile: p, checksum, report, delta, vm })
 }
 
+/// Observer totals plus the VM counter table of the profiled invocation.
 fn totals_json(cell: &ProfiledCell) -> Json {
-    let r = &cell.report;
-    let d = &cell.delta;
-    Json::obj(vec![
-        ("ops", Json::num(r.total_ops as f64)),
-        ("allocs", Json::num(r.total_allocs as f64)),
-        (
-            "bounds_checks_executed",
-            Json::num(r.total_of(|m| m.bounds_checks_executed) as f64),
-        ),
-        (
-            "bounds_checks_elided",
-            Json::num(r.total_of(|m| m.bounds_checks_elided) as f64),
-        ),
-        (
-            "bounds_checks_elided_idiom",
-            Json::num(r.total_of(|m| m.bounds_checks_elided_idiom) as f64),
-        ),
-        (
-            "bounds_checks_elided_range",
-            Json::num(r.total_of(|m| m.bounds_checks_elided_range) as f64),
-        ),
-        (
-            "bounds_checks_elided_versioned",
-            Json::num(r.total_of(|m| m.bounds_checks_elided_versioned) as f64),
-        ),
-        ("eh_catch", Json::num(r.total_of(|m| m.eh_catch) as f64)),
-        ("eh_finally", Json::num(r.total_of(|m| m.eh_finally) as f64)),
-        ("eh_fault_path", Json::num(r.total_of(|m| m.eh_fault_path) as f64)),
-        ("calls", Json::num(d.calls as f64)),
-        ("throws", Json::num(d.throws as f64)),
-        ("jit_compiles", Json::num(d.jit_compiles as f64)),
-        (
-            "bounds_checks_eliminated_static",
-            Json::num(d.bounds_checks_eliminated as f64),
-        ),
-        ("bce_elided_idiom", Json::num(d.bce_elided_idiom as f64)),
-        ("bce_elided_range", Json::num(d.bce_elided_range as f64)),
-        ("bce_elided_versioned", Json::num(d.bce_elided_versioned as f64)),
-        ("loops_versioned", Json::num(d.loops_versioned as f64)),
-        ("licm_hoisted", Json::num(d.licm_hoisted as f64)),
-    ])
+    let mut totals = observer_totals_json(&cell.report);
+    totals.push_counts(cell.delta.iter());
+    totals
 }
 
 fn passes_json(p: &VmProfile) -> Json {
@@ -181,7 +144,7 @@ fn passes_json(p: &VmProfile) -> Json {
 
 /// Hot methods of a report: invoked methods by descending exclusive
 /// opcode count, method id as the deterministic tie-break.
-fn hot_methods(report: &ObserveReport) -> Vec<&hpcnet_core::MethodProfile> {
+pub(crate) fn hot_methods(report: &ObserveReport) -> Vec<&MethodProfile> {
     let mut ms: Vec<_> = report.methods.iter().filter(|m| m.invocations > 0).collect();
     ms.sort_by(|a, b| b.ops_excl.cmp(&a.ops_excl).then(a.method.0.cmp(&b.method.0)));
     ms
@@ -205,37 +168,15 @@ fn methods_json(cell: &ProfiledCell) -> (Json, usize) {
                     Json::Arr(vec![Json::Str(name.to_string()), Json::num(n as f64)])
                 })
                 .collect();
-            Json::obj(vec![
+            let mut doc = Json::obj(vec![
                 ("name", Json::Str(m.name.clone())),
                 ("invocations", Json::num(m.invocations as f64)),
                 ("ops_excl", Json::num(m.ops_excl as f64)),
                 ("ops_incl", Json::num(m.ops_incl as f64)),
-                (
-                    "bounds_checks_executed",
-                    Json::num(m.bounds_checks_executed as f64),
-                ),
-                (
-                    "bounds_checks_elided",
-                    Json::num(m.bounds_checks_elided as f64),
-                ),
-                (
-                    "bounds_checks_elided_idiom",
-                    Json::num(m.bounds_checks_elided_idiom as f64),
-                ),
-                (
-                    "bounds_checks_elided_range",
-                    Json::num(m.bounds_checks_elided_range as f64),
-                ),
-                (
-                    "bounds_checks_elided_versioned",
-                    Json::num(m.bounds_checks_elided_versioned as f64),
-                ),
-                ("allocs", Json::num(m.allocs as f64)),
-                ("eh_catch", Json::num(m.eh_catch as f64)),
-                ("eh_finally", Json::num(m.eh_finally as f64)),
-                ("eh_fault_path", Json::num(m.eh_fault_path as f64)),
-                ("kinds", Json::Arr(kinds)),
-            ])
+            ]);
+            doc.push_counts(m.counters());
+            doc.push("kinds", Json::Arr(kinds));
+            doc
         })
         .collect();
     (Json::Arr(docs), total)
@@ -403,18 +344,15 @@ pub fn run_profile(entry_id: &str, cfg: &ProfileConfig) -> Result<ProfileRun, St
             vec![bc as f64, calls as f64],
             vec![mechanisms.join("; "), String::new()],
         );
-        delta_docs.push(Json::obj(vec![
+        let mut delta = Json::obj(vec![
             ("profile", Json::Str(c.profile.name.to_string())),
             ("bounds_checks_executed_delta", Json::num(bc as f64)),
-            ("bounds_checks_elided_idiom", Json::num(elided.0 as f64)),
-            ("bounds_checks_elided_range", Json::num(elided.1 as f64)),
-            ("bounds_checks_elided_versioned", Json::num(elided.2 as f64)),
-            ("calls_delta", Json::num(calls as f64)),
-            (
-                "mechanisms",
-                Json::Arr(mechanisms.into_iter().map(Json::Str).collect()),
-            ),
-        ]));
+        ]);
+        let split = elided_split();
+        delta.push_counts(c.report.counter_totals().filter(|(name, _)| split.contains(name)));
+        delta.push("calls_delta", Json::num(calls as f64));
+        delta.push("mechanisms", Json::Arr(mechanisms.into_iter().map(Json::Str).collect()));
+        delta_docs.push(delta);
     }
 
     let profile_docs = cells
@@ -487,11 +425,7 @@ pub fn overhead_table(entry_id: &str, min_time: Duration) -> Result<Table, Measu
 /// Validate a parsed profile document. Returns every problem found.
 pub fn validate(doc: &Json) -> Result<(), Vec<String>> {
     let mut c = Check::new();
-    match doc.get("schema_version").and_then(Json::as_f64) {
-        Some(v) if v == PROFILE_SCHEMA_VERSION => {}
-        Some(v) => c.fail("$", &format!("unsupported schema_version {v}")),
-        None => c.fail("$", "missing numeric schema_version"),
-    }
+    c.schema_version(doc, &[PROFILE_SCHEMA_VERSION]);
     match doc.get("kind").and_then(Json::as_str) {
         Some("profile") => {}
         _ => c.fail("$", "kind must be \"profile\""),
@@ -515,42 +449,15 @@ pub fn validate(doc: &Json) -> Result<(), Vec<String>> {
             Some("interpreter" | "register") => {}
             _ => c.fail(&path, "tier must be interpreter|register"),
         }
-        if let Some(passes) = p.get("passes") {
-            for key in ["bce", "abce", "range_abce", "loop_versioning", "licm", "inline"] {
-                c.bool_field(passes, &format!("{path}.passes"), key);
-            }
-        } else {
-            c.fail(&path, "missing passes object");
+        let passes = c.obj(p, &path, "passes");
+        for key in ["bce", "abce", "range_abce", "loop_versioning", "licm", "inline"] {
+            c.bool_field(passes, &format!("{path}.passes"), key);
         }
         c.num(p, &path, "checksum");
-        if let Some(totals) = p.get("totals") {
-            let tpath = format!("{path}.totals");
-            for key in [
-                "ops",
-                "allocs",
-                "bounds_checks_executed",
-                "bounds_checks_elided",
-                "bounds_checks_elided_idiom",
-                "bounds_checks_elided_range",
-                "bounds_checks_elided_versioned",
-                "eh_catch",
-                "eh_finally",
-                "eh_fault_path",
-                "calls",
-                "throws",
-                "jit_compiles",
-                "bounds_checks_eliminated_static",
-                "bce_elided_idiom",
-                "bce_elided_range",
-                "bce_elided_versioned",
-                "loops_versioned",
-                "licm_hoisted",
-            ] {
-                c.num(totals, &tpath, key);
-            }
-        } else {
-            c.fail(&path, "missing totals object");
-        }
+        let tpath = format!("{path}.totals");
+        let totals = c.obj(p, &path, "totals");
+        check_observer_totals(&mut c, totals, &tpath);
+        check_vm_counters(&mut c, totals, &tpath);
         let methods = c.arr(p, &path, "methods");
         if methods.is_empty() {
             c.fail(&path, "no methods profiled");
@@ -571,19 +478,7 @@ pub fn validate(doc: &Json) -> Result<(), Vec<String>> {
                     c.fail(&mpath, &format!("ops_incl {i} < ops_excl {e}"));
                 }
             }
-            for key in [
-                "bounds_checks_executed",
-                "bounds_checks_elided",
-                "bounds_checks_elided_idiom",
-                "bounds_checks_elided_range",
-                "bounds_checks_elided_versioned",
-                "allocs",
-                "eh_catch",
-                "eh_finally",
-                "eh_fault_path",
-            ] {
-                c.num(m, &mpath, key);
-            }
+            check_method_counters(&mut c, m, &mpath);
             for (ki, kind) in c.arr(m, &mpath, "kinds").iter().enumerate() {
                 match kind.as_arr() {
                     Some([name, count]) if name.as_str().is_some() && count.as_f64().is_some() => {}
@@ -593,60 +488,44 @@ pub fn validate(doc: &Json) -> Result<(), Vec<String>> {
         }
         // The hot-method list is truncated, so its ops can only account
         // for at most the totals.
-        if let Some(total_ops) = p.get("totals").and_then(|t| t.get("ops")).and_then(Json::as_f64) {
+        if let Some(total_ops) = totals.get("ops").and_then(Json::as_f64) {
             if ops_sum > total_ops {
                 c.fail(&path, &format!("method ops_excl sum {ops_sum} exceeds totals.ops {total_ops}"));
             }
         }
         c.num(p, &path, "methods_total");
-        if let Some(ev) = p.get("events") {
-            let epath = format!("{path}.events");
-            c.arr(ev, &epath, "jit");
-            for (ri, r) in c.arr(ev, &epath, "loop_rejections").to_vec().iter().enumerate() {
-                let rpath = format!("{epath}.loop_rejections[{ri}]");
-                c.str_field(r, &rpath, "method");
-                c.num(r, &rpath, "header_pc");
-                c.str_field(r, &rpath, "reason");
-            }
-            c.num(ev, &epath, "eh_dispatches");
-            c.num(ev, &epath, "alloc_milestones");
-            c.num(ev, &epath, "dropped");
-        } else {
-            c.fail(&path, "missing events object");
+        let epath = format!("{path}.events");
+        let ev = c.obj(p, &path, "events");
+        c.arr(ev, &epath, "jit");
+        for (ri, r) in c.arr(ev, &epath, "loop_rejections").iter().enumerate() {
+            let rpath = format!("{epath}.loop_rejections[{ri}]");
+            c.str_field(r, &rpath, "method");
+            c.num(r, &rpath, "header_pc");
+            c.str_field(r, &rpath, "reason");
         }
+        c.nums(ev, &epath, &["eh_dispatches", "alloc_milestones", "dropped"]);
     }
 
-    if let Some(attr) = doc.get("attribution") {
-        c.str_field(attr, "$.attribution", "reference");
-        let deltas = c.arr(attr, "$.attribution", "deltas");
-        if deltas.len() + 1 != profiles.len().max(1) {
-            c.fail("$.attribution", "one delta row per non-reference profile expected");
-        }
-        for (di, d) in deltas.iter().enumerate() {
-            let dpath = format!("$.attribution.deltas[{di}]");
-            c.str_field(d, &dpath, "profile");
-            c.num(d, &dpath, "bounds_checks_executed_delta");
-            c.num(d, &dpath, "bounds_checks_elided_idiom");
-            c.num(d, &dpath, "bounds_checks_elided_range");
-            c.num(d, &dpath, "bounds_checks_elided_versioned");
-            c.num(d, &dpath, "calls_delta");
-            c.arr(d, &dpath, "mechanisms");
-        }
-    } else {
-        c.fail("$", "missing attribution object");
+    let attr = c.obj(doc, "$", "attribution");
+    c.str_field(attr, "$.attribution", "reference");
+    let deltas = c.arr(attr, "$.attribution", "deltas");
+    if deltas.len() + 1 != profiles.len().max(1) {
+        c.fail("$.attribution", "one delta row per non-reference profile expected");
+    }
+    for (di, d) in deltas.iter().enumerate() {
+        let dpath = format!("$.attribution.deltas[{di}]");
+        c.str_field(d, &dpath, "profile");
+        c.nums(d, &dpath, &["bounds_checks_executed_delta", "calls_delta"]);
+        c.nums(d, &dpath, &elided_split());
+        c.arr(d, &dpath, "mechanisms");
     }
     c.finish()
-}
-
-/// Parse and validate a profile document from its JSON text.
-pub fn check_document(text: &str) -> Result<(), Vec<String>> {
-    let doc = Json::parse(text).map_err(|e| vec![e.to_string()])?;
-    validate(&doc)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hpcnet_core::json::check_document;
 
     fn tiny() -> ProfileConfig {
         ProfileConfig { n: Some(256), ..ProfileConfig::default() }
@@ -657,12 +536,23 @@ mod tests {
         let run = run_profile("loop.for", &tiny()).unwrap();
         validate(&run.doc).unwrap_or_else(|p| panic!("invalid document: {p:#?}"));
         let text = run.doc.render();
-        check_document(&text).unwrap();
+        check_document(&text, validate).unwrap();
         assert_eq!(Json::parse(&text).unwrap().render(), text);
         // The hot table has one column per CLI profile and a real row.
         assert_eq!(run.hot.columns.len(), 3);
         assert!(!run.hot.rows.is_empty());
         assert!(run.hot.render().contains("Loops.For"), "{}", run.hot.render());
+    }
+
+    #[test]
+    fn every_counter_key_is_required_and_reported_once() {
+        use crate::counters::tests::assert_each_key_required;
+        let doc = &run_profile("loop.for", &tiny()).unwrap().doc;
+        let totals = "profiles/0/totals";
+        assert_each_key_required(doc, totals, &["ops"], validate);
+        assert_each_key_required(doc, totals, MethodProfile::COUNTER_NAMES, validate);
+        assert_each_key_required(doc, totals, CountersSnapshot::NAMES, validate);
+        assert_each_key_required(doc, "profiles/0/methods/0", MethodProfile::COUNTER_NAMES, validate);
     }
 
     #[test]
@@ -684,6 +574,6 @@ mod tests {
             problems.iter().any(|p| p.contains("attribution")),
             "{problems:#?}"
         );
-        assert!(check_document("[1, 2").is_err());
+        assert!(check_document("[1, 2", validate).is_err());
     }
 }

@@ -149,3 +149,26 @@ fn profile_check_rejects_a_bench_document_shape() {
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("INVALID"), "{err}");
 }
+
+/// The profile subcommand end to end: write the artifact (self-checked),
+/// then re-validate the file through `--check`.
+#[test]
+fn profile_writes_a_schema_valid_artifact_and_rechecks_it() {
+    let dir = std::env::temp_dir().join("hpcnet-cli-profile-test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("PROFILE_loop.for.json");
+    let out = report()
+        .args(["profile", "loop.for", "--n", "256", "--out", path.to_str().unwrap()])
+        .output()
+        .expect("run hpcnet-report");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "profile failed:\n{err}");
+    assert!(err.contains("schema-valid"), "{err}");
+
+    let check = report()
+        .args(["profile", "--check", path.to_str().unwrap()])
+        .output()
+        .expect("run hpcnet-report");
+    assert!(check.status.success(), "{}", String::from_utf8_lossy(&check.stderr));
+    assert!(String::from_utf8_lossy(&check.stdout).contains("schema-valid profile document"));
+}

@@ -10,8 +10,8 @@
 //!    the delta rows against the reference equal the reference's elided
 //!    count to the access.
 
-use hpcnet_harness::json::Json;
-use hpcnet_harness::profile::{check_document, run_profile, ProfileConfig};
+use hpcnet_core::json::{check_document, Json};
+use hpcnet_harness::profile::{run_profile, validate, ProfileConfig};
 
 fn cfg(n: i32) -> ProfileConfig {
     ProfileConfig { n: Some(n), large: false, quick: false }
@@ -42,7 +42,7 @@ fn profile_document_is_bit_identical_across_consecutive_runs() {
     let a = run_profile("loop.for", &cfg(512)).unwrap().doc.render();
     let b = run_profile("loop.for", &cfg(512)).unwrap().doc.render();
     assert_eq!(a, b, "profile artifact must be deterministic");
-    check_document(&a).unwrap();
+    check_document(&a, validate).unwrap();
 }
 
 #[test]
@@ -51,7 +51,7 @@ fn bounds_check_counts_differ_exactly_where_the_knobs_predict() {
     // shape the structural (`bce`) and loop-aware (`abce`) passes target.
     let run = run_profile("scimark.fft", &cfg(256)).unwrap();
     let doc = &run.doc;
-    check_document(&doc.render()).unwrap();
+    check_document(&doc.render(), validate).unwrap();
 
     let clr = "C# .NET 1.1"; // bce + abce + licm on (reference profile)
     let mono = "Mono-0.23"; // register tier, every pass off

@@ -113,7 +113,7 @@ pub mod strict {
     const PI: f64 = std::f64::consts::PI;
     const PI_2: f64 = std::f64::consts::FRAC_PI_2;
     // Cody–Waite split of π/2 for accurate reduction.
-    const PIO2_HI: f64 = 1.570_796_326_794_896_6e0;
+    const PIO2_HI: f64 = std::f64::consts::FRAC_PI_2;
     const PIO2_LO: f64 = 6.123_233_995_736_766e-17;
     const LN2_HI: f64 = 6.931_471_803_691_238e-1;
     const LN2_LO: f64 = 1.908_214_929_270_587_7e-10;

@@ -12,10 +12,11 @@
 //!
 //! Like the bench and profile artifacts, the emitter self-checks: the CLI
 //! validates the exact bytes it wrote before declaring success, and
-//! [`check_document`] lets CI (or a consumer) re-validate any file.
+//! [`hpcnet_core::json::check_document`] with [`validate`] lets CI (or a
+//! consumer) re-validate any file.
 
 use crate::{JobRecord, ServiceReport};
-use hpcnet_core::json::Json;
+use hpcnet_core::json::{environment, Check, Json};
 use hpcnet_core::Histogram;
 
 pub const SCHEMA_VERSION: f64 = 1.1;
@@ -26,17 +27,6 @@ pub const ACCEPTED_SCHEMA_VERSIONS: &[f64] = &[1.0, SCHEMA_VERSION];
 
 /// Statuses a job can report; anything else fails validation.
 pub const STATUSES: &[&str] = &["ok", "trap", "limit", "compile-error", "internal", "panic"];
-
-pub(crate) fn environment() -> Json {
-    let cpus = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    Json::obj(vec![
-        ("os", Json::Str(std::env::consts::OS.to_string())),
-        ("arch", Json::Str(std::env::consts::ARCH.to_string())),
-        ("cpus", Json::num(cpus as f64)),
-        ("package_version", Json::Str(env!("CARGO_PKG_VERSION").to_string())),
-        ("debug_assertions", Json::Bool(cfg!(debug_assertions))),
-    ])
-}
 
 fn job_json(r: &JobRecord) -> Json {
     let o = &r.outcome;
@@ -170,79 +160,16 @@ pub fn jobs_fingerprint(doc: &Json) -> Option<String> {
     doc.get("jobs").map(Json::render)
 }
 
-pub(crate) struct Check {
-    pub(crate) problems: Vec<String>,
-}
-
-impl Check {
-    pub(crate) fn new() -> Check {
-        Check { problems: Vec::new() }
-    }
-
-    pub(crate) fn fail(&mut self, path: &str, what: &str) {
-        self.problems.push(format!("{path}: {what}"));
-    }
-
-    pub(crate) fn num(&mut self, v: &Json, path: &str, key: &str) -> Option<f64> {
-        match v.get(key).and_then(Json::as_f64) {
-            Some(n) => Some(n),
-            None => {
-                self.fail(path, &format!("missing or non-numeric field '{key}'"));
-                None
-            }
-        }
-    }
-
-    pub(crate) fn str_field(&mut self, v: &Json, path: &str, key: &str) -> Option<String> {
-        match v.get(key).and_then(Json::as_str) {
-            Some(s) => Some(s.to_string()),
-            None => {
-                self.fail(path, &format!("missing or non-string field '{key}'"));
-                None
-            }
-        }
-    }
-
-    pub(crate) fn obj<'j>(&mut self, v: &'j Json, path: &str, key: &str) -> &'j Json {
-        match v.get(key) {
-            Some(o @ Json::Obj(_)) => o,
-            _ => {
-                self.fail(path, &format!("missing or non-object field '{key}'"));
-                &Json::Null
-            }
-        }
-    }
-}
-
-fn validate_split(c: &mut Check, v: &Json, path: &str) {
-    for key in ["count", "p50", "p90", "p99", "max"] {
-        c.num(v, path, key);
-    }
-}
-
 /// Validate a parsed `BENCH_serve.json`. Returns every problem found.
 pub fn validate(doc: &Json) -> Result<(), Vec<String>> {
     let mut c = Check::new();
-    match doc.get("schema_version").and_then(Json::as_f64) {
-        Some(v) if ACCEPTED_SCHEMA_VERSIONS.contains(&v) => {}
-        Some(v) => c.fail("$", &format!("unsupported schema_version {v}")),
-        None => c.fail("$", "missing numeric schema_version"),
-    }
-    match doc.get("suite").and_then(Json::as_str) {
-        Some("serve") => {}
-        Some(other) => c.fail("$", &format!("suite must be 'serve', got '{other}'")),
-        None => c.fail("$", "missing string field 'suite'"),
-    }
+    c.schema_version(doc, ACCEPTED_SCHEMA_VERSIONS);
+    c.suite(doc, "serve");
     c.num(doc, "$", "workers");
-    let env = c.obj(doc, "$", "environment");
-    c.str_field(env, "$.environment", "os");
-    c.str_field(env, "$.environment", "arch");
-    c.num(env, "$.environment", "cpus");
+    c.environment(doc);
 
     let wl = c.obj(doc, "$", "workload");
-    for key in ["jobs", "distinct_contents", "minics_jobs", "cil_jobs"] {
-        c.num(wl, "$.workload", key);
-    }
+    c.nums(wl, "$.workload", &["jobs", "distinct_contents", "minics_jobs", "cil_jobs"]);
 
     match doc.get("jobs").and_then(Json::as_arr) {
         None => c.fail("$", "missing or non-array field 'jobs'"),
@@ -260,11 +187,8 @@ pub fn validate(doc: &Json) -> Result<(), Vec<String>> {
                     }
                 }
                 c.str_field(j, &path, "result");
-                if j.get("console").and_then(Json::as_arr).is_none() {
-                    c.fail(&path, "missing or non-array field 'console'");
-                }
-                c.num(j, &path, "calls");
-                c.num(j, &path, "throws");
+                c.arr(j, &path, "console");
+                c.nums(j, &path, &["calls", "throws"]);
                 match j.get("fuel_used") {
                     Some(Json::Null) | Some(Json::Num(_)) => {}
                     _ => c.fail(&path, "fuel_used must be null or a number"),
@@ -275,40 +199,29 @@ pub fn validate(doc: &Json) -> Result<(), Vec<String>> {
 
     let service = c.obj(doc, "$", "service");
     let cache = c.obj(service, "$.service", "cache");
-    c.num(cache, "$.service.cache", "hits");
-    c.num(cache, "$.service.cache", "misses");
+    c.nums(cache, "$.service.cache", &["hits", "misses"]);
     if let Some(rate) = c.num(cache, "$.service.cache", "hit_rate") {
         if !(0.0..=1.0).contains(&rate) {
             c.fail("$.service.cache", &format!("hit_rate {rate} outside [0, 1]"));
         }
     }
     let front = c.obj(service, "$.service", "front_half");
-    c.num(front, "$.service.front_half", "hits");
-    c.num(front, "$.service.front_half", "misses");
+    c.nums(front, "$.service.front_half", &["hits", "misses"]);
     let pool = c.obj(service, "$.service", "vm_pool");
-    for key in ["warmed", "discarded", "resets", "objects_restored", "statics_restored"] {
-        c.num(pool, "$.service.vm_pool", key);
-    }
+    c.nums(
+        pool,
+        "$.service.vm_pool",
+        &["warmed", "discarded", "resets", "objects_restored", "statics_restored"],
+    );
     let iso = c.obj(service, "$.service", "isolation");
-    c.num(iso, "$.service.isolation", "verified_jobs");
-    c.num(iso, "$.service.isolation", "leaks");
+    c.nums(iso, "$.service.isolation", &["verified_jobs", "leaks"]);
     let lat = c.obj(service, "$.service", "latency_ns");
     for key in ["all", "warm", "cold"] {
         let split = c.obj(lat, "$.service.latency_ns", key);
-        validate_split(&mut c, split, &format!("$.service.latency_ns.{key}"));
+        let path = format!("$.service.latency_ns.{key}");
+        c.nums(split, &path, &["count", "p50", "p90", "p99", "max"]);
     }
-
-    if c.problems.is_empty() {
-        Ok(())
-    } else {
-        Err(c.problems)
-    }
-}
-
-/// Parse + validate document text (the CLI self-check and CI entry).
-pub fn check_document(text: &str) -> Result<(), Vec<String>> {
-    let doc = Json::parse(text).map_err(|e| vec![e.to_string()])?;
-    validate(&doc)
+    c.finish()
 }
 
 /// Human-readable run summary for the CLI.

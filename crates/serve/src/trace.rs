@@ -16,12 +16,11 @@
 //!
 //! [`chrome_trace`] exports the same spans as Chrome trace-event JSON
 //! (one `tid` lane per worker) for `chrome://tracing` / Perfetto, and
-//! [`check_document`] re-validates an emitted artifact, mirroring
+//! [`validate`] re-checks an emitted artifact, mirroring
 //! `BENCH_serve.json`'s self-checking emitter.
 
-use crate::report::{environment, Check};
 use crate::{build_artifact, JobPayload, ServiceReport};
-use hpcnet_core::json::Json;
+use hpcnet_core::json::{environment, Check, Json};
 use hpcnet_core::trace::Span;
 use hpcnet_core::{Histogram, MetricsRegistry, MetricsSnapshot};
 use hpcnet_minics::STARTUP_INIT;
@@ -236,12 +235,8 @@ pub fn vm_phase_probe(profile: VmProfile) -> Json {
 }
 
 fn validate_hist(c: &mut Check, v: &Json, path: &str) {
-    for key in ["count", "sum", "min", "max", "mean", "p50", "p90", "p99"] {
-        c.num(v, path, key);
-    }
-    if v.get("buckets").and_then(Json::as_arr).is_none() {
-        c.fail(path, "missing or non-array field 'buckets'");
-    }
+    c.nums(v, path, &["count", "sum", "min", "max", "mean", "p50", "p90", "p99"]);
+    c.arr(v, path, "buckets");
 }
 
 fn validate_span(c: &mut Check, node: &Json, path: &str, depth: usize) {
@@ -256,37 +251,19 @@ fn validate_span(c: &mut Check, node: &Json, path: &str, depth: usize) {
             c.fail(path, &format!("unknown phase '{n}'"));
         }
     }
-    if !matches!(node.get("args"), Some(Json::Obj(_))) {
-        c.fail(path, "missing or non-object field 'args'");
-    }
-    match node.get("children").and_then(Json::as_arr) {
-        None => c.fail(path, "missing or non-array field 'children'"),
-        Some(kids) => {
-            for (i, k) in kids.iter().enumerate() {
-                validate_span(c, k, &format!("{path}.children[{i}]"), depth + 1);
-            }
-        }
+    c.obj(node, path, "args");
+    for (i, k) in c.arr(node, path, "children").iter().enumerate() {
+        validate_span(c, k, &format!("{path}.children[{i}]"), depth + 1);
     }
 }
 
 /// Validate a parsed `TRACE_serve.json`. Returns every problem found.
 pub fn validate(doc: &Json) -> Result<(), Vec<String>> {
     let mut c = Check::new();
-    match doc.get("schema_version").and_then(Json::as_f64) {
-        Some(v) if v == SCHEMA_VERSION => {}
-        Some(v) => c.fail("$", &format!("unsupported schema_version {v}")),
-        None => c.fail("$", "missing numeric schema_version"),
-    }
-    match doc.get("suite").and_then(Json::as_str) {
-        Some("serve-trace") => {}
-        Some(other) => c.fail("$", &format!("suite must be 'serve-trace', got '{other}'")),
-        None => c.fail("$", "missing string field 'suite'"),
-    }
+    c.schema_version(doc, &[SCHEMA_VERSION]);
+    c.suite(doc, "serve-trace");
     c.num(doc, "$", "workers");
-    let env = c.obj(doc, "$", "environment");
-    c.str_field(env, "$.environment", "os");
-    c.str_field(env, "$.environment", "arch");
-    c.num(env, "$.environment", "cpus");
+    c.environment(doc);
 
     let structural = c.obj(doc, "$", "structural");
     c.num(structural, "$.structural", "traced_jobs");
@@ -308,27 +285,12 @@ pub fn validate(doc: &Json) -> Result<(), Vec<String>> {
         let h = c.obj(phases, "$.timing.phases", p);
         validate_hist(&mut c, h, &format!("$.timing.phases.{p}"));
     }
-    if timing.get("jobs_per_lane").and_then(Json::as_arr).is_none() {
-        c.fail("$.timing", "missing or non-array field 'jobs_per_lane'");
-    }
+    c.arr(timing, "$.timing", "jobs_per_lane");
     match timing.get("vm_phases") {
         Some(Json::Null) | Some(Json::Obj(_)) => {}
         _ => c.fail("$.timing", "vm_phases must be null or an object"),
     }
 
-    if !matches!(doc.get("metrics"), Some(Json::Obj(_))) {
-        c.fail("$", "missing or non-object field 'metrics'");
-    }
-
-    if c.problems.is_empty() {
-        Ok(())
-    } else {
-        Err(c.problems)
-    }
-}
-
-/// Parse + validate document text (the CLI self-check and CI entry).
-pub fn check_document(text: &str) -> Result<(), Vec<String>> {
-    let doc = Json::parse(text).map_err(|e| vec![e.to_string()])?;
-    validate(&doc)
+    c.obj(doc, "$", "metrics");
+    c.finish()
 }

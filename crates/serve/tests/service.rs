@@ -1,7 +1,8 @@
 //! Service-level guarantees: worker-count determinism, cache accounting,
 //! per-job fuel containment, and cross-tenant isolation.
 
-use hpcnet_serve::report::{check_document, document, jobs_fingerprint, validate};
+use hpcnet_core::json::check_document;
+use hpcnet_serve::report::{document, jobs_fingerprint, validate};
 use hpcnet_serve::workload::mixed_workload;
 use hpcnet_serve::{run_service, JobPayload, JobSpec, ServeConfig};
 use hpcnet_vm::VmProfile;
@@ -138,7 +139,7 @@ fn emitted_document_passes_its_own_validator() {
     let jobs = mixed_workload(24, 3, 4096);
     let report = run_service(&jobs, &cfg(2));
     let text = document(&report).render();
-    check_document(&text).expect("rendered document validates");
+    check_document(&text, validate).expect("rendered document validates");
     // Sanity on content: the workload contains at least one limit job and
     // at least one trap job, and they surface as such.
     assert!(text.contains("\"limit:fuel budget exhausted\""));

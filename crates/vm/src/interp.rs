@@ -636,19 +636,22 @@ enum Flow {
 #[inline(never)]
 fn pal_shim(pc: u32) {
     use std::sync::atomic::{AtomicU64, Ordering};
-    static PAL_STATE: [AtomicU64; 4] = [
-        AtomicU64::new(0),
-        AtomicU64::new(0),
-        AtomicU64::new(0),
-        AtomicU64::new(0),
-    ];
+    /// Written on every interpreted instruction, so it owns its cache
+    /// lines: sharing one with whatever static the linker places next to
+    /// it would add false-sharing stalls that change from build to build.
+    #[repr(align(128))]
+    struct PalState([AtomicU64; 4]);
+    static PAL_STATE: PalState = PalState([const { AtomicU64::new(0) }; 4]);
     // Genuine memory round trips, like a PAL helper prologue/epilogue
     // (save registers, load helper state, restore). The depth is
     // calibrated so the interpreter lands in the 5–10× band the paper
-    // measured for SSCLI 1.0 relative to CLR 1.1.
+    // measured for SSCLI 1.0 relative to CLR 1.1. The opaque reference
+    // keeps the state one aligned object; the optimizer would otherwise
+    // split it into four separately placed globals.
+    let state = std::hint::black_box(&PAL_STATE.0);
     let mut acc = pc as u64 | 1;
     for _ in 0..4 {
-        for slot in PAL_STATE.iter() {
+        for slot in state.iter() {
             let v = slot.load(Ordering::Relaxed);
             acc = acc.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(v);
             slot.store(acc, Ordering::Relaxed);

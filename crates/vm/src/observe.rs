@@ -278,49 +278,106 @@ pub enum Event {
     AllocMilestone { total: u64 },
 }
 
-/// Per-method atomic accumulation cells.
-#[derive(Debug)]
-struct MethodCell {
-    invocations: AtomicU64,
-    /// Opcodes executed in this method's own frames.
-    ops_excl: AtomicU64,
-    /// Opcodes executed in this method's frames plus everything its
-    /// calls executed (single-threaded attribution).
-    ops_incl: AtomicU64,
-    /// Executed-opcode histogram, indexed like [`OP_KIND_NAMES`]. The
-    /// register tier maps each `RInst` to its closest CIL kind.
-    kinds: Box<[AtomicU64]>,
-    bc_executed: AtomicU64,
-    bc_elided: AtomicU64,
-    /// `bc_elided` split by elision mechanism (idiom / range / versioned),
-    /// matching [`BoundsMode::mechanism`] order; the three sum to it.
-    bc_elided_idiom: AtomicU64,
-    bc_elided_range: AtomicU64,
-    bc_elided_versioned: AtomicU64,
-    allocs: AtomicU64,
-    eh_catch: AtomicU64,
-    eh_finally: AtomicU64,
-    eh_fault: AtomicU64,
+/// Defines the per-method counter table once: the atomic cells of
+/// [`MethodCell`], the plain-value fields of [`MethodProfile`], the one
+/// loader between them, and the `(name, value)` listing the artifacts
+/// emit and validate. A counter's field name is its artifact key.
+///
+/// The table holds the summable event counts; invocations, the
+/// inclusive/exclusive opcode counts and the kind histogram are frame
+/// bookkeeping with their own invariants, so they stay outside it.
+macro_rules! method_counters {
+    ($($(#[doc = $doc:literal])+ $name:ident,)+) => {
+        /// Per-method atomic accumulation cells.
+        #[derive(Debug)]
+        struct MethodCell {
+            invocations: AtomicU64,
+            /// Opcodes executed in this method's own frames.
+            ops_excl: AtomicU64,
+            /// Opcodes executed in this method's frames plus everything its
+            /// calls executed (single-threaded attribution).
+            ops_incl: AtomicU64,
+            /// Executed-opcode histogram, indexed like [`OP_KIND_NAMES`]. The
+            /// register tier maps each `RInst` to its closest CIL kind.
+            kinds: Box<[AtomicU64]>,
+            $($name: AtomicU64,)+
+        }
+
+        impl MethodCell {
+            fn new() -> MethodCell {
+                MethodCell {
+                    invocations: AtomicU64::new(0),
+                    ops_excl: AtomicU64::new(0),
+                    ops_incl: AtomicU64::new(0),
+                    kinds: (0..Op::KIND_COUNT).map(|_| AtomicU64::new(0)).collect(),
+                    $($name: AtomicU64::new(0),)+
+                }
+            }
+
+            /// Every cell as a plain value (relaxed loads).
+            fn load(&self, method: MethodId, name: String) -> MethodProfile {
+                let ld = |a: &AtomicU64| a.load(Ordering::Relaxed);
+                MethodProfile {
+                    method,
+                    name,
+                    invocations: ld(&self.invocations),
+                    ops_excl: ld(&self.ops_excl),
+                    ops_incl: ld(&self.ops_incl),
+                    op_kinds: self.kinds.iter().map(ld).collect(),
+                    $($name: ld(&self.$name),)+
+                }
+            }
+        }
+
+        /// Plain-value attribution for one method (all counts; no times).
+        #[derive(Clone, Debug, PartialEq, Eq)]
+        pub struct MethodProfile {
+            pub method: MethodId,
+            /// `"Class.Method"`.
+            pub name: String,
+            pub invocations: u64,
+            /// Opcodes executed in this method's own frames.
+            pub ops_excl: u64,
+            /// Opcodes executed in this method's frames plus its callees'.
+            pub ops_incl: u64,
+            /// Executed-opcode histogram, indexed like [`OP_KIND_NAMES`].
+            pub op_kinds: Vec<u64>,
+            $($(#[doc = $doc])+ pub $name: u64,)+
+        }
+
+        impl MethodProfile {
+            /// Every per-method counter name (= artifact key), in table order.
+            pub const COUNTER_NAMES: &'static [&'static str] = &[$(stringify!($name)),+];
+
+            /// `(name, value)` for every table counter, in
+            /// [`Self::COUNTER_NAMES`] order.
+            pub fn counters(&self) -> impl Iterator<Item = (&'static str, u64)> {
+                Self::COUNTER_NAMES.iter().copied().zip([$(self.$name),+])
+            }
+        }
+    };
 }
 
-impl MethodCell {
-    fn new() -> MethodCell {
-        MethodCell {
-            invocations: AtomicU64::new(0),
-            ops_excl: AtomicU64::new(0),
-            ops_incl: AtomicU64::new(0),
-            kinds: (0..Op::KIND_COUNT).map(|_| AtomicU64::new(0)).collect(),
-            bc_executed: AtomicU64::new(0),
-            bc_elided: AtomicU64::new(0),
-            bc_elided_idiom: AtomicU64::new(0),
-            bc_elided_range: AtomicU64::new(0),
-            bc_elided_versioned: AtomicU64::new(0),
-            allocs: AtomicU64::new(0),
-            eh_catch: AtomicU64::new(0),
-            eh_finally: AtomicU64::new(0),
-            eh_fault: AtomicU64::new(0),
-        }
-    }
+method_counters! {
+    /// One-dimensional element accesses that tested bounds at run time.
+    bounds_checks_executed,
+    /// Element accesses whose check was elided at JIT time, crossed at run
+    /// time — the three mechanism splits below sum to this.
+    bounds_checks_elided,
+    /// Elided by the idiom matchers (`bce`, `abce`).
+    bounds_checks_elided_idiom,
+    /// Elided by symbolic range analysis (`range_abce`).
+    bounds_checks_elided_range,
+    /// Elided inside a guarded loop-version fast clone (`loop_versioning`).
+    bounds_checks_elided_versioned,
+    /// Allocation opcodes executed (`newobj`, `newarr`, `newmultiarr`, `box`).
+    allocs,
+    /// Exception dispatch steps where a catch handler took the exception.
+    eh_catch,
+    /// Exception dispatch steps that ran a finally handler.
+    eh_finally,
+    /// Exception dispatch steps that left the frame unhandled.
+    eh_fault_path,
 }
 
 /// The per-VM observation state. Constructed once per
@@ -403,7 +460,7 @@ impl Observer {
         match op {
             // The interpreter bounds-checks every element access inline.
             Op::LdElem(_) | Op::StElem(_) => {
-                cell.bc_executed.fetch_add(1, Ordering::Relaxed);
+                cell.bounds_checks_executed.fetch_add(1, Ordering::Relaxed);
             }
             Op::NewObj(_) | Op::NewArr(_) | Op::NewMultiArr { .. } | Op::BoxVal(_) => {
                 self.alloc(cell);
@@ -422,19 +479,19 @@ impl Observer {
         match inst {
             RInst::LdElem { bounds, .. } | RInst::StElem { bounds, .. } => match bounds {
                 BoundsMode::Checked => {
-                    cell.bc_executed.fetch_add(1, Ordering::Relaxed);
+                    cell.bounds_checks_executed.fetch_add(1, Ordering::Relaxed);
                 }
                 BoundsMode::ElidedIdiom => {
-                    cell.bc_elided.fetch_add(1, Ordering::Relaxed);
-                    cell.bc_elided_idiom.fetch_add(1, Ordering::Relaxed);
+                    cell.bounds_checks_elided.fetch_add(1, Ordering::Relaxed);
+                    cell.bounds_checks_elided_idiom.fetch_add(1, Ordering::Relaxed);
                 }
                 BoundsMode::ElidedRange => {
-                    cell.bc_elided.fetch_add(1, Ordering::Relaxed);
-                    cell.bc_elided_range.fetch_add(1, Ordering::Relaxed);
+                    cell.bounds_checks_elided.fetch_add(1, Ordering::Relaxed);
+                    cell.bounds_checks_elided_range.fetch_add(1, Ordering::Relaxed);
                 }
                 BoundsMode::ElidedVersioned => {
-                    cell.bc_elided.fetch_add(1, Ordering::Relaxed);
-                    cell.bc_elided_versioned.fetch_add(1, Ordering::Relaxed);
+                    cell.bounds_checks_elided.fetch_add(1, Ordering::Relaxed);
+                    cell.bounds_checks_elided_versioned.fetch_add(1, Ordering::Relaxed);
                 }
             },
             RInst::NewObj { .. }
@@ -461,7 +518,7 @@ impl Observer {
         match kind {
             EhDispatchKind::Catch => cell.eh_catch.fetch_add(1, Ordering::Relaxed),
             EhDispatchKind::Finally => cell.eh_finally.fetch_add(1, Ordering::Relaxed),
-            EhDispatchKind::FaultPath => cell.eh_fault.fetch_add(1, Ordering::Relaxed),
+            EhDispatchKind::FaultPath => cell.eh_fault_path.fetch_add(1, Ordering::Relaxed),
         };
         if self.tracing() {
             self.push_event(Event::EhDispatch { method, kind });
@@ -539,31 +596,13 @@ impl Observer {
             .iter()
             .enumerate()
             .filter_map(|(i, c)| {
-                let invocations = c.invocations.load(Ordering::Relaxed);
-                let ops_excl = c.ops_excl.load(Ordering::Relaxed);
-                if invocations == 0 && ops_excl == 0 {
+                if c.invocations.load(Ordering::Relaxed) == 0
+                    && c.ops_excl.load(Ordering::Relaxed) == 0
+                {
                     return None;
                 }
                 let method = MethodId(i as u32);
-                Some(MethodProfile {
-                    method,
-                    name: name_of(method),
-                    invocations,
-                    ops_excl,
-                    ops_incl: c.ops_incl.load(Ordering::Relaxed),
-                    op_kinds: c.kinds.iter().map(|k| k.load(Ordering::Relaxed)).collect(),
-                    bounds_checks_executed: c.bc_executed.load(Ordering::Relaxed),
-                    bounds_checks_elided: c.bc_elided.load(Ordering::Relaxed),
-                    bounds_checks_elided_idiom: c.bc_elided_idiom.load(Ordering::Relaxed),
-                    bounds_checks_elided_range: c.bc_elided_range.load(Ordering::Relaxed),
-                    bounds_checks_elided_versioned: c
-                        .bc_elided_versioned
-                        .load(Ordering::Relaxed),
-                    allocs: c.allocs.load(Ordering::Relaxed),
-                    eh_catch: c.eh_catch.load(Ordering::Relaxed),
-                    eh_finally: c.eh_finally.load(Ordering::Relaxed),
-                    eh_fault_path: c.eh_fault.load(Ordering::Relaxed),
-                })
+                Some(c.load(method, name_of(method)))
             })
             .collect();
         ObserveReport {
@@ -575,32 +614,6 @@ impl Observer {
             events_dropped: self.events_dropped.load(Ordering::Relaxed),
         }
     }
-}
-
-/// Plain-value attribution for one method (all counts; no times).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct MethodProfile {
-    pub method: MethodId,
-    /// `"Class.Method"`.
-    pub name: String,
-    pub invocations: u64,
-    /// Opcodes executed in this method's own frames.
-    pub ops_excl: u64,
-    /// Opcodes executed in this method's frames plus its callees'.
-    pub ops_incl: u64,
-    /// Executed-opcode histogram, indexed like [`OP_KIND_NAMES`].
-    pub op_kinds: Vec<u64>,
-    pub bounds_checks_executed: u64,
-    /// Dynamic count of elided checks crossed, total and per mechanism
-    /// (the three splits sum to the total).
-    pub bounds_checks_elided: u64,
-    pub bounds_checks_elided_idiom: u64,
-    pub bounds_checks_elided_range: u64,
-    pub bounds_checks_elided_versioned: u64,
-    pub allocs: u64,
-    pub eh_catch: u64,
-    pub eh_finally: u64,
-    pub eh_fault_path: u64,
 }
 
 impl MethodProfile {
@@ -640,6 +653,18 @@ impl ObserveReport {
     /// Sum a per-method metric over all methods.
     pub fn total_of(&self, f: impl Fn(&MethodProfile) -> u64) -> u64 {
         self.methods.iter().map(f).sum()
+    }
+
+    /// Every per-method table counter summed over all methods, in
+    /// [`MethodProfile::COUNTER_NAMES`] order.
+    pub fn counter_totals(&self) -> impl Iterator<Item = (&'static str, u64)> {
+        let mut sums = vec![0u64; MethodProfile::COUNTER_NAMES.len()];
+        for m in &self.methods {
+            for (sum, (_, v)) in sums.iter_mut().zip(m.counters()) {
+                *sum += v;
+            }
+        }
+        MethodProfile::COUNTER_NAMES.iter().copied().zip(sums)
     }
 }
 
