@@ -209,8 +209,8 @@ pub enum Stmt {
     /// `for (int iN = 0; iN < n; iN++) { body }`
     ForCount { n: u8, body: Vec<Stmt> },
     /// A derived-index loop — the access patterns symbolic range
-    /// analysis (`range_abce`) and guarded loop versioning
-    /// (`loop_versioning`) exist to prove. Each shape renders a
+    /// analysis and guarded loop versioning (both under `bce`) exist to
+    /// prove. Each shape renders a
     /// guaranteed derived access after `body`, in-bounds as written but
     /// exposed to mid-loop array reassignment from `body` (the hazard a
     /// version guard must catch).

@@ -15,7 +15,7 @@
 //!    generator bug, never a test case.
 //! 3. **Execute** ([`matrix::run_matrix`]): the verified module runs under
 //!    every [`hpcnet_vm::VmProfile`] of the paper's lineup, each
-//!    register-tier profile expanded over all four `abce`/`licm` pass
+//!    register-tier profile expanded over all four `bce`/`licm` pass
 //!    combinations, plus a clean direct-interpretation oracle — asserting
 //!    bitwise-identical results (floats compare by bit pattern) or
 //!    identical traps (by exception class), console output included.

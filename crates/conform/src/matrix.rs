@@ -4,7 +4,7 @@
 //! [`verify_module`] (an unverifiable program is a generator bug, never a
 //! test case), then executed under every [`VmProfile`] in the paper's
 //! lineup — with each register-tier profile additionally expanded over the
-//! four `abce`/`licm` pass combinations — plus a clean direct-interpretation
+//! four `bce`/`licm` pass combinations — plus a clean direct-interpretation
 //! oracle. Results are normalized to strings that preserve bit identity
 //! (`f64` results compare by bit pattern, traps by exception class name)
 //! and every engine is compared against the oracle.
@@ -36,22 +36,23 @@ pub fn oracle_profile() -> VmProfile {
     p
 }
 
-/// Every profile × every `abce`/`licm` combination, oracle first, with the
+/// Every profile × every `bce`/`licm` combination, oracle first, with the
 /// elision-cert audit enabled on every engine. See [`engine_matrix_with`].
 pub fn engine_matrix() -> Vec<Engine> {
     engine_matrix_with(true)
 }
 
-/// Every profile × every `abce`/`licm` combination, oracle first.
+/// Every profile × every `bce`/`licm` combination, oracle first.
 ///
 /// Interpreter-tier profiles have no optimization passes, so they appear
 /// once; each register-tier profile of the SciMark lineup is expanded into
 /// the four loop-pass combinations, each run under both slot allocators
 /// (the profile's own `Tier::Rir` use-count ranking and `Tier::Compiled`
-/// linear scan) on the one register executor. The `abce` toggle also gates the
-/// range-analysis and loop-versioning elision mechanisms (where the base
-/// profile enables them), so the matrix stays pinned at 50 engines while
-/// still exercising every `BoundsMode` under audit.
+/// linear scan) on the one register executor. The `bce` toggle gates all
+/// three elision mechanisms (structural matcher, range analysis, loop
+/// versioning) on every base profile — including those whose stock
+/// profile has it off — so the matrix stays pinned at 50 engines while
+/// exercising every `BoundsMode` under audit.
 pub fn engine_matrix_with(audit: bool) -> Vec<Engine> {
     let mut out =
         vec![Engine { label: "oracle".into(), profile: oracle_profile().with_audit(audit) }];
@@ -62,14 +63,12 @@ pub fn engine_matrix_with(audit: bool) -> Vec<Engine> {
                 profile: base.with_audit(audit),
             }),
             Tier::Rir | Tier::Compiled => {
-                for (abce, licm) in [(false, false), (true, false), (false, true), (true, true)] {
+                for (bce, licm) in [(false, false), (true, false), (false, true), (true, true)] {
                     let mut p = base.with_audit(audit);
-                    p.passes.abce = abce;
+                    p.passes.bce = bce;
                     p.passes.licm = licm;
-                    p.passes.range_abce = abce && base.passes.range_abce;
-                    p.passes.loop_versioning = abce && base.passes.loop_versioning;
                     out.push(Engine {
-                        label: format!("{} [abce={} licm={}]", base.name, abce as u8, licm as u8),
+                        label: format!("{} [bce={} licm={}]", base.name, bce as u8, licm as u8),
                         profile: p,
                     });
                     // The same knobs again under the linear-scan
@@ -78,8 +77,8 @@ pub fn engine_matrix_with(audit: bool) -> Vec<Engine> {
                     let threaded = p.with_tier(Tier::Compiled);
                     out.push(Engine {
                         label: format!(
-                            "{} [threaded abce={} licm={}]",
-                            base.name, abce as u8, licm as u8
+                            "{} [threaded bce={} licm={}]",
+                            base.name, bce as u8, licm as u8
                         ),
                         profile: threaded,
                     });
@@ -369,9 +368,9 @@ mod tests {
         assert_eq!(m[0].profile.tier, Tier::Interpreter);
         assert!(!m[0].profile.emulate_cdq);
         let labels: Vec<&str> = m.iter().map(|e| e.label.as_str()).collect();
-        assert!(labels.contains(&"C# .NET 1.1 [abce=1 licm=1]"), "{labels:?}");
-        assert!(labels.contains(&"Java Sun 1.4 [abce=0 licm=0]"));
-        assert!(labels.contains(&"C# .NET 1.1 [threaded abce=1 licm=1]"));
+        assert!(labels.contains(&"C# .NET 1.1 [bce=1 licm=1]"), "{labels:?}");
+        assert!(labels.contains(&"Java Sun 1.4 [bce=0 licm=0]"));
+        assert!(labels.contains(&"C# .NET 1.1 [threaded bce=1 licm=1]"));
         assert!(labels.contains(&"Rotor 1.0"));
         let threaded = m
             .iter()

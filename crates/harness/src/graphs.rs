@@ -524,7 +524,6 @@ pub fn opt_counters(cfg: &Config) -> Table {
                     "passes",
                     Json::obj(vec![
                         ("bce", Json::Bool(p.passes.bce)),
-                        ("abce", Json::Bool(p.passes.abce)),
                         ("licm", Json::Bool(p.passes.licm)),
                     ]),
                 ),

@@ -14,7 +14,7 @@
 //! integration tests assert this. Per-profile deltas against the
 //! reference engine (the first of the lineup, CLR 1.1) are annotated with
 //! the docs/OPTIMIZATIONS.md mechanism knobs that explain them:
-//! bounds-checks-executed maps to mechanism 4 (`bce`/`abce`), managed
+//! bounds-checks-executed maps to mechanism 4 (`bce`), managed
 //! calls map to the `inline` knob, and interpreter-tier rows are marked
 //! as executing every check with no JIT passes at all.
 //!
@@ -45,7 +45,10 @@ use std::time::Duration;
 /// 1.2: `totals` carries the VM counter table under its own names
 /// (`bounds_checks_eliminated_static` became `bounds_checks_eliminated`,
 /// `loops_found` added).
-pub const PROFILE_SCHEMA_VERSION: f64 = 1.2;
+/// 1.3: one `bce` knob replaces `bce`/`abce`/`range_abce`/`loop_versioning`
+/// in the passes object; JIT events report `idiom_removed` in place of
+/// `bce_removed` + `abce_removed`.
+pub const PROFILE_SCHEMA_VERSION: f64 = 1.3;
 
 /// Hot methods kept per profile (the rest are summarized by
 /// `methods_total` so the cap is never silent).
@@ -134,9 +137,6 @@ fn totals_json(cell: &ProfiledCell) -> Json {
 fn passes_json(p: &VmProfile) -> Json {
     Json::obj(vec![
         ("bce", Json::Bool(p.passes.bce)),
-        ("abce", Json::Bool(p.passes.abce)),
-        ("range_abce", Json::Bool(p.passes.range_abce)),
-        ("loop_versioning", Json::Bool(p.passes.loop_versioning)),
         ("licm", Json::Bool(p.passes.licm)),
         ("inline", Json::Bool(p.passes.inline)),
     ])
@@ -193,8 +193,7 @@ fn events_json(cell: &ProfiledCell) -> Json {
                 ("method", Json::Str(cell.vm.method_display_name(*method))),
                 ("rir_len", Json::num(outcome.rir_len as f64)),
                 ("loops_found", Json::num(outcome.loops_found as f64)),
-                ("bce_removed", Json::num(outcome.bce_removed as f64)),
-                ("abce_removed", Json::num(outcome.abce_removed as f64)),
+                ("idiom_removed", Json::num(outcome.idiom_removed as f64)),
                 ("range_removed", Json::num(outcome.range_removed as f64)),
                 ("versioned_removed", Json::num(outcome.versioned_removed as f64)),
                 ("loops_versioned", Json::num(outcome.loops_versioned as f64)),
@@ -244,26 +243,18 @@ fn mechanisms_for(
         );
     }
     if bc_delta != 0 {
-        let mut knobs = Vec::new();
         if reference.passes.bce != p.passes.bce || p.tier == Tier::Interpreter {
-            knobs.push("bce");
+            out.push("bounds-check elimination (`bce`) — mechanism 4".to_string());
         }
-        if reference.passes.abce != p.passes.abce || p.tier == Tier::Interpreter {
-            knobs.push("abce");
-        }
-        out.push(format!(
-            "bounds-check elimination (`{}`) — mechanism 4",
-            knobs.join("`, `")
-        ));
         let (idiom, range, versioned) = elided;
         if idiom > 0 {
-            out.push(format!("idiom guard elision (`bce`, `abce`) — {idiom} accesses"));
+            out.push(format!("idiom guard elision — {idiom} accesses"));
         }
         if range > 0 {
-            out.push(format!("symbolic range analysis (`range_abce`) — {range} accesses"));
+            out.push(format!("symbolic range analysis — {range} accesses"));
         }
         if versioned > 0 {
-            out.push(format!("guarded loop versioning (`loop_versioning`) — {versioned} accesses"));
+            out.push(format!("guarded loop versioning — {versioned} accesses"));
         }
     }
     if calls_delta != 0 && (reference.passes.inline != p.passes.inline || p.tier == Tier::Interpreter)
@@ -450,7 +441,7 @@ pub fn validate(doc: &Json) -> Result<(), Vec<String>> {
             _ => c.fail(&path, "tier must be interpreter|register"),
         }
         let passes = c.obj(p, &path, "passes");
-        for key in ["bce", "abce", "range_abce", "loop_versioning", "licm", "inline"] {
+        for key in ["bce", "licm", "inline"] {
             c.bool_field(passes, &format!("{path}.passes"), key);
         }
         c.num(p, &path, "checksum");

@@ -4,7 +4,7 @@
 //!    times, no environment probes), so two consecutive runs of the same
 //!    build must produce byte-identical JSON.
 //! 2. **Mechanism attribution** — per-profile bounds-checks-executed
-//!    counts differ *exactly* where the `bce`/`abce` knobs predict: the
+//!    counts differ *exactly* where the `bce` knob predicts: the
 //!    dynamic access total (executed + elided) is invariant across
 //!    profiles, profiles without elimination passes elide nothing, and
 //!    the delta rows against the reference equal the reference's elided
@@ -48,12 +48,12 @@ fn profile_document_is_bit_identical_across_consecutive_runs() {
 #[test]
 fn bounds_check_counts_differ_exactly_where_the_knobs_predict() {
     // FFT is dominated by 1-D `data.Length`-guarded loops, the exact
-    // shape the structural (`bce`) and loop-aware (`abce`) passes target.
+    // shape bounds-check elimination (`bce`) targets.
     let run = run_profile("scimark.fft", &cfg(256)).unwrap();
     let doc = &run.doc;
     check_document(&doc.render(), validate).unwrap();
 
-    let clr = "C# .NET 1.1"; // bce + abce + licm on (reference profile)
+    let clr = "C# .NET 1.1"; // bce + licm on (reference profile)
     let mono = "Mono-0.23"; // register tier, every pass off
     let rotor = "Rotor 1.0"; // interpreter tier
 

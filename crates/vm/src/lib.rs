@@ -1117,30 +1117,40 @@ mod tests {
     }
 
     #[test]
-    fn observe_bounds_checks_follow_the_abce_knob() {
-        // Same module, same entry: abce on ⇒ in-loop accesses run
-        // unchecked; abce off ⇒ every access checks. The *sum*
+    fn observe_bounds_checks_follow_the_bce_knob() {
+        // Same module, same entry: bce off ⇒ every access checks; bce on
+        // ⇒ the in-loop accesses run unchecked, and the idiom / range /
+        // versioned split sums to the elided total. The *sum*
         // executed+elided is the access count and must not move.
         let m = array_loop_module();
-        let count = |abce: bool| {
+        let count = |bce: bool| {
             let mut p = VmProfile::clr11();
-            p.passes.abce = abce;
-            p.passes.bce = false; // isolate the idiom loop-aware pass
-            p.passes.range_abce = false; // (range analysis would elide
-            p.passes.loop_versioning = false; // these accesses on its own)
+            p.passes.bce = bce;
             let vm = Vm::new(m.clone(), p.with_observe(ObserveLevel::Counters)).unwrap();
             vm.invoke_by_name("P.Fill", vec![Value::I4(50)]).unwrap();
             let r = vm.observe_report().unwrap();
-            let mp = r.methods.iter().find(|mp| mp.name == "P.Fill").unwrap();
-            (mp.bounds_checks_executed, mp.bounds_checks_elided)
+            r.methods
+                .into_iter()
+                .find(|mp| mp.name == "P.Fill")
+                .unwrap()
         };
-        let (exec_on, elided_on) = count(true);
-        let (exec_off, elided_off) = count(false);
-        assert_eq!(elided_off, 0);
-        assert_eq!(exec_on, 0, "all in-loop accesses proven safe");
-        assert_eq!(elided_on, 100, "2 accesses x 50 iterations");
-        assert_eq!(exec_off, 100);
-        assert_eq!(exec_on + elided_on, exec_off + elided_off);
+        let (on, off) = (count(true), count(false));
+        assert_eq!(off.bounds_checks_elided, 0);
+        assert_eq!(
+            off.bounds_checks_executed, 100,
+            "2 accesses x 50 iterations"
+        );
+        assert_eq!(
+            on.bounds_checks_executed, 0,
+            "all in-loop accesses proven safe"
+        );
+        assert_eq!(on.bounds_checks_elided, 100);
+        assert_eq!(
+            on.bounds_checks_elided_idiom
+                + on.bounds_checks_elided_range
+                + on.bounds_checks_elided_versioned,
+            on.bounds_checks_elided
+        );
     }
 
     #[test]
@@ -1187,7 +1197,7 @@ mod tests {
         assert_eq!(outcome.loops_found, 1);
         assert!(outcome.rir_len > 0);
         assert!(
-            outcome.bce_removed + outcome.abce_removed >= 2,
+            outcome.idiom_removed >= 2,
             "both accesses lose their checks: {outcome:?}"
         );
         assert!(outcome.enreg_prim > 0);

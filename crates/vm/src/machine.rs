@@ -171,8 +171,8 @@ vm_counters! {
     /// Array bounds checks removed at compile time — total across every
     /// mechanism (the three `bce_elided_*` counters below sum to this).
     bounds_checks_eliminated,
-    /// Checks removed by the structural/idiom matchers (block-guard BCE
-    /// plus the loop-aware ABCE `i < arr.Length` idiom).
+    /// Checks removed as the counted-loop idiom: the structural matcher's
+    /// block guards plus range analysis under a direct `i < arr.Length`.
     bce_elided_idiom,
     /// Checks removed by symbolic range analysis (derived indices such as
     /// `a[i+k]`, hoisted-length and triangular bounds).

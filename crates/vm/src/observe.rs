@@ -28,7 +28,7 @@
 //! Scope notes (documented limits, pinned by tests where they matter):
 //!
 //! * Bounds-check accounting covers one-dimensional `ldelem`/`stelem` —
-//!   the domain of the structural BCE and loop-aware ABCE passes.
+//!   the domain of the `bce` mechanisms.
 //!   Multi-dimensional accesses validate per-dimension inside the
 //!   accessor and are out of ABCE's reach (Graph 12's point).
 //! * Allocation counts are derived from executed allocation opcodes
@@ -172,9 +172,9 @@ fn default_now_ns() -> u64 {
         .as_nanos() as u64
 }
 
-/// Why the loop-aware bounds-check pass rejected a natural loop (one
-/// reason per loop, the first disqualifier found — the same order the
-/// pass checks them in).
+/// Why range analysis certified no access in a natural loop (one reason
+/// per loop, the first disqualifier found — the same order the pass
+/// checks them in).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum LoopRejectReason {
     /// The loop body overlaps an exception-handling region.
@@ -240,13 +240,12 @@ impl EhDispatchKind {
 pub struct JitOutcome {
     /// Final RIR instruction count.
     pub rir_len: u32,
-    /// Checks removed by the structural (block-local) BCE matcher.
-    pub bce_removed: u32,
-    /// Natural loops the loop tier found (0 when both loop passes are
-    /// off — the tier does not even build the CFG then).
+    /// Checks removed as the counted-loop idiom (`ElidedIdiom`): by the
+    /// structural matcher or by range analysis under a direct length guard.
+    pub idiom_removed: u32,
+    /// Natural loops the loop tier found (0 when `bce` and `licm` are
+    /// both off — the tier does not even build the CFG then).
     pub loops_found: u32,
-    /// Checks removed by the loop-aware ABCE pass.
-    pub abce_removed: u32,
     /// Checks removed by symbolic range analysis (derived indices).
     pub range_removed: u32,
     /// Checks removed in guarded loop-version fast clones.
@@ -270,7 +269,7 @@ pub struct JitOutcome {
 pub enum Event {
     /// A method was translated to RIR, with its per-pass outcomes.
     JitCompile { method: MethodId, outcome: JitOutcome },
-    /// The loop-aware bounds-check pass rejected one natural loop.
+    /// Range analysis (`bce`) certified no access in one natural loop.
     LoopRejected { method: MethodId, header_pc: u32, reason: LoopRejectReason },
     /// One exception dispatch step in a frame of `method`.
     EhDispatch { method: MethodId, kind: EhDispatchKind },
@@ -364,11 +363,12 @@ method_counters! {
     /// Element accesses whose check was elided at JIT time, crossed at run
     /// time — the three mechanism splits below sum to this.
     bounds_checks_elided,
-    /// Elided by the idiom matchers (`bce`, `abce`).
+    /// Elided as the counted-loop idiom (`bce`: structural matcher, or
+    /// range analysis under a direct length guard).
     bounds_checks_elided_idiom,
-    /// Elided by symbolic range analysis (`range_abce`).
+    /// Elided by symbolic range analysis on derived indices (`bce`).
     bounds_checks_elided_range,
-    /// Elided inside a guarded loop-version fast clone (`loop_versioning`).
+    /// Elided inside a guarded loop-version fast clone (`bce`).
     bounds_checks_elided_versioned,
     /// Allocation opcodes executed (`newobj`, `newarr`, `newmultiarr`, `box`).
     allocs,

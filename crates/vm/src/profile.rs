@@ -13,7 +13,7 @@
 //! | CLR 1.1: "something weird by temporarily storing the constant" in the division loop | `div_const_temp_quirk` |
 //! | IBM JVM: "registers and constants throughout the loop" | `imm_fusion` |
 //! | CLR: faster multiplication (Graph 1) | `mul_strength_reduction` |
-//! | CLR: bounds check eliminated when the bound is `arr.Length` (+15 % on Sparse) | `bce` (structural), `abce` (loop-aware) |
+//! | CLR: bounds check eliminated when the bound is `arr.Length` (+15 % on Sparse) | `bce` (structural matcher, range analysis, loop versioning) |
 //! | Optimizing JITs keep loop-invariant work out of the body | `licm` |
 //! | CLI exceptions ≫ JVM exceptions (Graph 5) | `exception_cost_units` |
 //! | CLR math library faster than JVM's (Graphs 6–8) | `math` |
@@ -83,26 +83,17 @@ pub struct PassConfig {
     /// Reproduce CLR 1.1's quirk of spilling the divisor constant to a
     /// temporary before `idiv` (Table 6).
     pub div_const_temp_quirk: bool,
-    /// Eliminate array bounds checks when the loop bound is provably the
-    /// array's length (`for (i = 0; i < a.Length; i++)`). This is the
-    /// structural (block-local) matcher.
+    /// Array bounds-check elimination, three certified mechanisms behind
+    /// one knob: the structural matcher for `for (i = 0; i < a.Length;
+    /// i++)` (`rir::opt`; the only one that works in loops overlapping
+    /// exception regions), symbolic range analysis over natural loops
+    /// (the same idiom plus derived indices `a[i+k]` and triangular
+    /// bounds), and guarded loop versioning (a check-free clone behind an
+    /// up-front null/length guard); see `rir::range`.
     pub bce: bool,
-    /// Loop-aware bounds-check elimination: natural-loop detection over
-    /// the RIR CFG proves counted-loop indices in range and drops the
-    /// checks the structural matcher cannot (see `rir::opt`).
-    pub abce: bool,
     /// Loop-invariant code motion: hoist invariant arithmetic and the
     /// guard's `ldlen` out of natural loops into the preheader.
     pub licm: bool,
-    /// Symbolic range analysis over natural loops: per-block intervals for
-    /// integer locals prove derived indices (`a[i+k]`, hoisted-length and
-    /// triangular bounds) in `[0, arr.Length)` and drop their checks
-    /// (see `rir::range`).
-    pub range_abce: bool,
-    /// Guarded loop versioning: clone almost-provable loops into a
-    /// check-free fast version selected by an up-front null/range guard,
-    /// with the original checked loop as the fallback.
-    pub loop_versioning: bool,
     /// Inline small static/final callees.
     pub inline: bool,
     /// Maximum callee size (in RIR instructions) considered for inlining.
@@ -120,10 +111,7 @@ impl PassConfig {
             mul_strength_reduction: false,
             div_const_temp_quirk: false,
             bce: false,
-            abce: false,
             licm: false,
-            range_abce: false,
-            loop_versioning: false,
             inline: false,
             inline_max_ops: 0,
         }
@@ -139,10 +127,7 @@ impl PassConfig {
             mul_strength_reduction: true,
             div_const_temp_quirk: false,
             bce: true,
-            abce: true,
             licm: true,
-            range_abce: true,
-            loop_versioning: true,
             inline: true,
             inline_max_ops: 24,
         }
@@ -333,9 +318,6 @@ impl VmProfile {
         p.mul_strength_reduction = false;
         p.imm_fusion = false;
         p.bce = false;
-        p.abce = false;
-        p.range_abce = false;
-        p.loop_versioning = false;
         VmProfile {
             name: "Java BEA JRockit 8.1",
             tier: Tier::Rir,
@@ -358,9 +340,6 @@ impl VmProfile {
         p.mul_strength_reduction = false;
         p.imm_fusion = false;
         p.bce = false;
-        p.abce = false;
-        p.range_abce = false;
-        p.loop_versioning = false;
         p.inline = false;
         VmProfile {
             name: "Java Sun 1.4",

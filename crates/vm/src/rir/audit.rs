@@ -1,8 +1,8 @@
 //! Elision certificates and their independent checker.
 //!
-//! Every bounds-check elimination mechanism (the structural idiom matcher,
-//! loop-aware ABCE, symbolic range analysis, guarded loop versioning)
-//! records one [`ElisionCert`] per check it removes: the access pc, the
+//! Every bounds-check elimination mechanism under the `bce` knob (the
+//! structural idiom matcher, symbolic range analysis, guarded loop
+//! versioning) records one [`ElisionCert`] per check it removes: the access pc, the
 //! mechanism, and the facts justifying the elision (which guard, which
 //! induction variable, the index's affine offset and derived interval).
 //! Certificates live in `Lowered` and every pass that moves instructions

@@ -1,9 +1,10 @@
 //! Natural-loop detection over the RIR control-flow graph.
 //!
-//! The loop-aware passes ([`crate::rir::opt`]'s ABCE and LICM) need the
-//! structure the era's optimizing JITs recovered before anything else:
-//! basic blocks, dominators, and natural loops (back edges whose target
-//! dominates their source, plus the backward-reachable body). The CFG here
+//! The loop-aware passes (range analysis and versioning in `rir::range`,
+//! LICM in [`crate::rir::opt`]) need the structure the era's optimizing
+//! JITs recovered before anything else: basic blocks, dominators, and
+//! natural loops (back edges whose target dominates their source, plus
+//! the backward-reachable body). The CFG here
 //! covers *normal* control flow only; any loop whose instructions overlap
 //! an exception region is reported as not `clean` and the loop passes skip
 //! it — the era's JITs likewise gave up on protected regions, and every

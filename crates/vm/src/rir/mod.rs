@@ -14,10 +14,10 @@
 //!    elimination — each gated by a [`crate::profile::PassConfig`] flag.
 //! 3. **Loop-aware tier** (`rir::loops` + [`crate::rir::opt`] +
 //!    `rir::range`): basic blocks, dominators and natural loops
-//!    are recovered from the compacted code; idiom ABCE proves
-//!    counted-loop indices in range and drops their checks, symbolic
-//!    range analysis extends that to derived indices (`i±k`, triangular,
-//!    strided), LICM hoists invariant arithmetic and the guard's `ldlen`
+//!    are recovered from the compacted code; symbolic range analysis
+//!    proves counted-loop indices in range — the `i < arr.Length` idiom
+//!    and derived indices (`i±k`, triangular, strided) — and drops their
+//!    checks, LICM hoists invariant arithmetic and the guard's `ldlen`
 //!    into the preheader, and guarded loop versioning clones
 //!    almost-provable loops behind an up-front guard. Every elision
 //!    carries a certificate re-verified by [`crate::rir::audit`].

@@ -62,8 +62,7 @@ pub(crate) fn optimize(passes: &PassConfig, l: &mut Lowered) -> OptResult {
     }
     let mut outcome = JitOutcome::default();
     if passes.bce {
-        let n = eliminate_bounds_checks(l);
-        outcome.bce_removed = n as u32;
+        outcome.idiom_removed = eliminate_bounds_checks(l) as u32;
     }
     if passes.dce {
         dead_code_elim(l);
@@ -73,27 +72,18 @@ pub(crate) fn optimize(passes: &PassConfig, l: &mut Lowered) -> OptResult {
     // erased by copy-prop + DCE), where the guard compare reads the named
     // locals directly.
     let mut rejections: Vec<(u32, LoopRejectReason)> = Vec::new();
-    let loop_tier =
-        passes.abce || passes.licm || passes.range_abce || passes.loop_versioning;
-    if loop_tier && !l.code.is_empty() {
+    if (passes.bce || passes.licm) && !l.code.is_empty() {
         let cfg = Cfg::build(l);
         let loops = find_loops(l, &cfg);
         outcome.loops_found = loops.len() as u32;
-        if passes.abce {
-            let (n, rej) = loop_aware_bce(l, &cfg, &loops);
-            outcome.abce_removed = n as u32;
-            rejections = rej;
-        }
-        if passes.range_abce {
-            // Idiom ABCE only flips access flags, so the CFG and loop
-            // structure are still valid here.
-            outcome.range_removed = crate::rir::range::range_abce(l, &cfg, &loops) as u32;
+        if passes.bce {
+            rejections = crate::rir::range::range_abce(l, &cfg, &loops, &mut outcome);
         }
         if passes.licm {
             let n = loop_invariant_code_motion(l);
             outcome.licm_hoisted = n as u32;
         }
-        if passes.loop_versioning {
+        if passes.bce {
             // LICM moved code; versioning needs fresh structure.
             let cfg = Cfg::build(l);
             let loops = find_loops(l, &cfg);
@@ -114,7 +104,7 @@ pub(crate) fn optimize(passes: &PassConfig, l: &mut Lowered) -> OptResult {
 /// [`optimize`] so a memoized front half (cache hit) bumps the consuming
 /// VM's counters exactly as a fresh compile would.
 pub(crate) fn apply_outcome_counters(vm: &Vm, o: &JitOutcome) {
-    let idiom = o.bce_removed as u64 + o.abce_removed as u64;
+    let idiom = o.idiom_removed as u64;
     vm.counters.bounds_checks_eliminated.fetch_add(
         idiom + o.range_removed as u64 + o.versioned_removed as u64,
         Ordering::Relaxed,
@@ -531,32 +521,17 @@ fn strength_reduce(l: &mut Lowered) {
 /// 15 % on the sparse kernel).
 ///
 /// The matcher works the way the era's JITs did — structural pattern
-/// recognition over block-local facts rather than full dominance
-/// analysis: per-block maps track copies, known constants, `x = local + k`
-/// facts, and `x = arr.Length` facts, resolved through the naive
-/// stack-shuffle lowering. The execution engine keeps a safety net: an
-/// "unchecked" access that does go out of range is an engine error, so a
-/// differential test would expose an unsound match.
+/// recognition over the block-local facts of [`collect_loop_facts`]
+/// rather than natural-loop analysis — so, unlike the loop passes in
+/// [`crate::rir::range`], it also covers loops that overlap exception
+/// regions (an access inside or after a `try` in the loop body). Each
+/// match is trial-committed against the independent certificate checker.
 fn eliminate_bounds_checks(l: &mut Lowered) -> u64 {
-    let heads = leaders(l);
-
-    // Global def counts: array origins must be written at most once for
-    // their length to be loop-invariant.
-    let mut pdef_count: HashMap<u16, u32> = HashMap::new();
-    let mut rdef_count: HashMap<u16, u32> = HashMap::new();
-    for inst in &l.code {
-        if let Some(d) = def_p(inst) {
-            *pdef_count.entry(d).or_default() += 1;
-        }
-        if let Some(d) = def_r(inst) {
-            // The entry zero-init (`ConstNull`) does not threaten length
-            // stability: a null array traps before its length matters.
-            if !matches!(inst, RInst::ConstNull { .. }) {
-                *rdef_count.entry(d).or_default() += 1;
-            }
-        }
-    }
-
+    let facts = collect_loop_facts(l);
+    // Counter shape, method-wide: a zero init, stack-cell increments
+    // (`mov i, <i + k>`), and no other definition. A one-instruction
+    // `i = i + k` taints the counter here, although the loop passes
+    // accept it as an increment.
     #[derive(Default)]
     struct Ind {
         zero: bool,
@@ -564,202 +539,115 @@ fn eliminate_bounds_checks(l: &mut Lowered) -> u64 {
         tainted: bool,
     }
     let mut ind: HashMap<u16, Ind> = HashMap::new();
-    // (index origin, array origin) -> pc of a witnessing guard compare,
-    // recorded for the elision certificate.
+    for (pc, inst) in l.code.iter().enumerate() {
+        let Some(d) = def_p(inst) else { continue };
+        let c = ind.entry(d).or_default();
+        match inst {
+            RInst::ConstP { bits: 0, .. } => c.zero = true,
+            RInst::MovP { .. } if matches!(facts.defs.get(&pc), Some(DefKind::Increment)) => {
+                c.inc = true
+            }
+            _ => c.tainted = true,
+        }
+    }
+    // (index origin, array origin) -> pc of the first compare of the
+    // counter against that array's length, recorded for the certificate.
     let mut guards: HashMap<(u16, u16), u32> = HashMap::new();
-    let mut accesses: Vec<(usize, u16, u16)> = Vec::new();
-    // Length facts that survive block boundaries: a local with a single
-    // real definition that copies an `ldlen` result (the hand-hoisted
-    // `int len = arr.Length;` idiom the Grande sources use).
-    let mut global_lenof: HashMap<u16, u16> = HashMap::new();
-    let mut real_pdefs: HashMap<u16, u32> = HashMap::new();
-    for inst in &l.code {
-        if let Some(d) = def_p(inst) {
-            // Entry zero-inits don't count (a zero length only makes the
-            // loop vacuous).
-            if !matches!(inst, RInst::ConstP { bits: 0, .. }) {
-                *real_pdefs.entry(d).or_default() += 1;
-            }
-        }
-    }
-
-    // Block-local facts.
-    let mut copies: HashMap<u16, u16> = HashMap::new(); // vreg -> origin vreg
-    let mut rcopies: HashMap<u16, u16> = HashMap::new();
-    let mut consts: HashMap<u16, u64> = HashMap::new();
-    let mut incof: HashMap<u16, u16> = HashMap::new(); // vreg -> local (vreg == local + k)
-    let mut lenof: HashMap<u16, u16> = HashMap::new(); // vreg -> arr origin
-
-    for i in 0..l.code.len() {
-        if heads.contains(&(i as u32)) {
-            copies.clear();
-            rcopies.clear();
-            consts.clear();
-            incof.clear();
-            lenof.clear();
-        }
-        let presolve = |v: u16, copies: &HashMap<u16, u16>| *copies.get(&v).unwrap_or(&v);
-        let rresolve = |v: u16, rcopies: &HashMap<u16, u16>| *rcopies.get(&v).unwrap_or(&v);
-
-        // Record guard/access facts first (they read pre-instruction state).
-        match &l.code[i] {
-            RInst::BrCmp { ty: NumTy::I4, a, b: Operand::Slot(s), .. } => {
-                if let Some(&arr) = lenof.get(s).or_else(|| global_lenof.get(s)) {
-                    guards.entry((presolve(*a, &copies), arr)).or_insert(i as u32);
-                }
-                if let Some(&arr) = lenof.get(a).or_else(|| global_lenof.get(a)) {
-                    guards.entry((presolve(*s, &copies), arr)).or_insert(i as u32);
-                }
-            }
-            RInst::LdElem { arr, idx, .. } | RInst::StElem { arr, idx, .. } => {
-                accesses.push((i, presolve(*idx, &copies), rresolve(*arr, &rcopies)));
-            }
-            _ => {}
-        }
-
-        // Invalidation: a def of v breaks facts about v and facts that
-        // mention v as an origin.
-        let dp = def_p(&l.code[i]);
-        let dr = def_r(&l.code[i]);
-        // Compute new facts before invalidating (they reference old state).
-        enum NewFact {
-            Const(u64),
-            Copy(u16),
-            IncOf(u16),
-            LenOf(u16),
-            None,
-        }
-        let mut fact = NewFact::None;
-        match &l.code[i] {
-            RInst::ConstP { dst, bits } => {
-                // A nonzero reseed breaks the counter's monotone-from-zero
-                // shape (the zero-init itself is recorded below).
-                if *bits != 0 {
-                    ind.entry(*dst).or_default().tainted = true;
-                }
-                fact = NewFact::Const(*bits);
-            }
-            RInst::MovP { dst, src } => {
-                if incof.get(src).copied() == Some(*dst) {
-                    // `i = <i + k>` — the canonical increment completing.
-                    ind.entry(*dst).or_default().inc = true;
-                } else {
-                    ind.entry(*dst).or_default().tainted = true;
-                    fact = NewFact::Copy(presolve(*src, &copies));
-                    // `int len = arr.Length;` — promote to a global fact
-                    // when this is the local's only real definition.
-                    if let Some(&arr) = lenof.get(src) {
-                        if real_pdefs.get(dst).copied().unwrap_or(0) == 1 {
-                            global_lenof.insert(*dst, arr);
-                        }
-                    }
-                }
-            }
-            RInst::MovR { dst, src } => {
-                let _ = dst;
-                fact = NewFact::Copy(rresolve(*src, &rcopies));
-            }
-            RInst::Bin { op: BinOp::Add, ty: NumTy::I4, dst, a, b } => {
-                let k = match b {
-                    Operand::Imm(k) => Some(*k),
-                    Operand::Slot(s) => consts.get(s).copied(),
-                };
-                ind.entry(*dst).or_default().tainted = true;
-                if let Some(k) = k {
-                    if (k as u32 as i32) > 0 {
-                        fact = NewFact::IncOf(presolve(*a, &copies));
-                    }
-                }
-            }
-            RInst::LdLen { arr, dst } => {
-                ind.entry(*dst).or_default().tainted = true;
-                let ao = rresolve(*arr, &rcopies);
-                if rdef_count.get(&ao).copied().unwrap_or(0) <= 1 {
-                    fact = NewFact::LenOf(ao);
-                }
-            }
-            inst => {
-                if let Some(d) = def_p(inst) {
-                    ind.entry(d).or_default().tainted = true;
-                }
-            }
-        }
-        if let RInst::ConstP { dst, bits: 0 } = &l.code[i] {
-            ind.entry(*dst).or_default().zero = true;
-        }
-        if let Some(d) = dp {
-            copies.remove(&d);
-            consts.remove(&d);
-            incof.remove(&d);
-            lenof.remove(&d);
-            copies.retain(|_, o| *o != d);
-            incof.retain(|_, o| *o != d);
-        }
-        if let Some(d) = dr {
-            rcopies.remove(&d);
-            rcopies.retain(|_, o| *o != d);
-            lenof.retain(|_, o| *o != d);
-        }
-        match (fact, dp, dr) {
-            (NewFact::Const(c), Some(d), _) => {
-                consts.insert(d, c);
-            }
-            (NewFact::Copy(o), Some(d), _) if o != d => {
-                copies.insert(d, o);
-                if let Some(&c) = consts.get(&o) {
-                    consts.insert(d, c);
-                }
-            }
-            (NewFact::Copy(o), _, Some(d)) if o != d => {
-                rcopies.insert(d, o);
-            }
-            (NewFact::IncOf(o), Some(d), _) if o != d => {
-                incof.insert(d, o);
-            }
-            (NewFact::LenOf(a), Some(d), _) => {
-                lenof.insert(d, a);
-            }
-            _ => {}
-        }
-    }
-
-    let induction: HashSet<u16> = ind
-        .iter()
-        .filter(|(_, c)| c.zero && c.inc && !c.tainted)
-        .map(|(v, _)| *v)
-        .collect();
-    let mut eliminated = 0u64;
-    for (i, idx_o, arr_o) in accesses {
-        let Some(&guard_pc) = guards.get(&(idx_o, arr_o)) else { continue };
-        if !induction.contains(&idx_o) {
+    for pc in 0..l.code.len() {
+        let Some(g) = facts.guard.get(&pc) else {
             continue;
-        }
-        let checked = match &l.code[i] {
-            RInst::LdElem { bounds, .. } | RInst::StElem { bounds, .. } => bounds.is_checked(),
-            _ => unreachable!(),
         };
-        if !checked {
+        let Some(b) = g.b else { continue };
+        if let Some((arr, _)) = g.b_len {
+            guards.entry((g.a, arr)).or_insert(pc as u32);
+        }
+        if let Some((arr, _)) = g.a_len {
+            guards.entry((b, arr)).or_insert(pc as u32);
+        }
+    }
+    let mut cands: Vec<ElisionCert> = Vec::new();
+    for pc in 0..l.code.len() {
+        let Some(&(idx_o, arr_o)) = facts.access.get(&pc) else {
+            continue;
+        };
+        let Some(&guard_pc) = guards.get(&(idx_o, arr_o)) else {
+            continue;
+        };
+        if ind
+            .get(&idx_o)
+            .is_some_and(|c| c.zero && c.inc && !c.tainted)
+        {
+            cands.push(ElisionCert {
+                pc: pc as u32,
+                mechanism: BoundsMode::ElidedIdiom,
+                kind: CertKind::BlockGuard {
+                    guard_pc,
+                    ivar: idx_o,
+                    arr: arr_o,
+                },
+            });
+        }
+    }
+    // The block-local facts above are necessary but not sufficient (a
+    // compare against the length that never controls the access would
+    // match — conform seed 330); the checker verifies the certificate's
+    // guard-edge dominance.
+    commit_certified(l, cands).len() as u64
+}
+
+/// Trial-commit proposed elisions: apply each one whose access is still
+/// checked (the first proposal for a pc wins), keep those the independent
+/// checker ([`crate::rir::audit::check`]) accepts and revert the rest.
+/// Returns the indices of the accepted proposals.
+///
+/// A certificate's validity does not depend on which other accesses are
+/// elided, so one check of the whole batch usually settles it; only a
+/// rejected batch falls back to checking the proposals one at a time.
+pub(crate) fn commit_certified(l: &mut Lowered, cands: Vec<ElisionCert>) -> Vec<usize> {
+    let base = l.certs.len();
+    let mut applied = Vec::new();
+    for (i, cert) in cands.iter().enumerate() {
+        if access_checked(l, cert.pc as usize) {
+            set_bounds(l, cert.pc as usize, cert.mechanism);
+            l.certs.push(cert.clone());
+            applied.push(i);
+        }
+    }
+    if applied.is_empty() || crate::rir::audit::check(l).is_ok() {
+        return applied;
+    }
+    for pc in l
+        .certs
+        .drain(base..)
+        .map(|c| c.pc as usize)
+        .collect::<Vec<_>>()
+    {
+        set_bounds(l, pc, BoundsMode::Checked);
+    }
+    let mut won = Vec::new();
+    for (i, cert) in cands.into_iter().enumerate() {
+        let pc = cert.pc as usize;
+        if !access_checked(l, pc) {
             continue;
         }
-        // Trial-commit: the block-local facts above are necessary but not
-        // sufficient (a compare against the length that never controls the
-        // access would match — conform seed 330). Apply the elision, let
-        // the independent checker verify the certificate's guard-edge
-        // dominance, and revert any it cannot prove.
-        set_bounds(l, i, BoundsMode::ElidedIdiom);
-        l.certs.push(ElisionCert {
-            pc: i as u32,
-            mechanism: BoundsMode::ElidedIdiom,
-            kind: CertKind::BlockGuard { guard_pc, ivar: idx_o, arr: arr_o },
-        });
+        set_bounds(l, pc, cert.mechanism);
+        l.certs.push(cert);
         if crate::rir::audit::check(l).is_ok() {
-            eliminated += 1;
+            won.push(i);
         } else {
             l.certs.pop();
-            set_bounds(l, i, BoundsMode::Checked);
+            set_bounds(l, pc, BoundsMode::Checked);
         }
     }
-    eliminated
+    won
+}
+
+/// Does the element access at `pc` still test bounds at run time?
+fn access_checked(l: &Lowered, pc: usize) -> bool {
+    match &l.code[pc] {
+        RInst::LdElem { bounds, .. } | RInst::StElem { bounds, .. } => bounds.is_checked(),
+        _ => unreachable!("access_checked on a non-access instruction"),
+    }
 }
 
 /// Set the bounds mode of the element access at `pc`.
@@ -771,7 +659,7 @@ fn set_bounds(l: &mut Lowered, pc: usize, mode: BoundsMode) {
 }
 
 // ---------------------------------------------------------------------------
-// Loop-aware tier: ABCE + LICM over natural loops (see `rir::loops`).
+// Block-local facts shared by the structural matcher and the loop passes.
 // ---------------------------------------------------------------------------
 
 /// Guard operands of an I4 fused compare-branch, resolved through the
@@ -800,8 +688,9 @@ pub(crate) enum DefKind {
     Other,
 }
 
-/// Per-instruction facts for the loop-aware passes, resolved with the same
-/// block-local machinery the structural BCE matcher uses.
+/// Per-instruction facts for bounds-check elimination, resolved through
+/// the naive stack-shuffle lowering by block-local copy, constant,
+/// `x = local + k` and `x = arr.Length` maps.
 pub(crate) struct LoopFacts {
     /// pc of an element access -> (index origin, array origin).
     pub access: HashMap<usize, (u16, u16)>,
@@ -814,9 +703,9 @@ pub(crate) struct LoopFacts {
     pub end_consts: HashMap<u32, HashMap<u16, u64>>,
 }
 
-/// One forward scan computing [`LoopFacts`]. Facts reset at block leaders;
-/// the global `len` idiom is promoted exactly as in
-/// [`eliminate_bounds_checks`].
+/// One forward scan computing [`LoopFacts`]. Facts reset at block leaders,
+/// except the hand-hoisted `int len = arr.Length;` idiom, promoted to a
+/// method-wide fact when the local has a single real definition.
 pub(crate) fn collect_loop_facts(l: &Lowered) -> LoopFacts {
     let heads = leaders(l);
     let mut rdef_count: HashMap<u16, u32> = HashMap::new();
@@ -994,219 +883,9 @@ pub(crate) fn collect_loop_facts(l: &Lowered) -> LoopFacts {
     facts
 }
 
-/// Loop-aware array-bounds-check elimination.
-///
-/// For each clean natural loop whose header terminator compares an
-/// induction variable against an invariant array's length (staying in the
-/// loop exactly when `i < arr.Length`), accesses `arr[i]` inside the loop
-/// are provably in range and lose their checks — provided:
-///
-/// * the induction variable's only in-loop definitions are positive
-///   constant increments;
-/// * every loop entry reaches the header with the variable a known
-///   non-negative constant;
-/// * the array (and, for the hand-hoisted `len` idiom, the bound local)
-///   is not written inside the loop;
-/// * the access is outside the header block (which executes before the
-///   guard decides) and not downstream of an increment within the same
-///   iteration.
-///
-/// The execution engine keeps its safety net: an unchecked access that
-/// does go out of range is an engine error, so the differential suite
-/// would expose an unsound match.
-fn loop_aware_bce(
-    l: &mut Lowered,
-    cfg: &Cfg,
-    loops: &[NaturalLoop],
-) -> (u64, Vec<(u32, LoopRejectReason)>) {
-    let facts = collect_loop_facts(l);
-    let mut flips: Vec<(usize, u32, u16, u16)> = Vec::new();
-    let mut rejected: Vec<(u32, LoopRejectReason)> = Vec::new();
-    for lp in loops {
-        match analyze_loop(l, cfg, &facts, lp) {
-            // An accepted loop with no matching accesses is not a
-            // rejection — the proof succeeded, there was nothing to drop.
-            Ok(e) => flips.extend(e.covered.iter().map(|&pc| (pc, e.guard_pc, e.ivar, e.arr))),
-            Err(reason) => rejected.push((cfg.ranges[lp.header].0 as u32, reason)),
-        }
-    }
-    let mut count = 0u64;
-    for (pc, guard_pc, ivar, arr) in flips {
-        match &mut l.code[pc] {
-            RInst::LdElem { bounds, .. } | RInst::StElem { bounds, .. }
-                if bounds.is_checked() =>
-            {
-                *bounds = BoundsMode::ElidedIdiom;
-                count += 1;
-                l.certs.push(ElisionCert {
-                    pc: pc as u32,
-                    mechanism: BoundsMode::ElidedIdiom,
-                    kind: CertKind::Loop {
-                        guard_pc,
-                        ivar,
-                        offset: 0,
-                        entry_lo: 0,
-                        sup_arr: arr,
-                        sup_off: -1,
-                    },
-                });
-            }
-            _ => {}
-        }
-    }
-    (count, rejected)
-}
-
-/// An accepted loop's elision set plus the facts its certificates cite.
-pub(crate) struct LoopElision {
-    pub covered: Vec<usize>,
-    pub guard_pc: u32,
-    pub ivar: u16,
-    pub arr: u16,
-}
-
-/// Prove one natural loop safe for check elimination: returns the pcs of
-/// the covered element accesses plus the proof facts, or the first
-/// disqualifier found (the [`LoopRejectReason`] the event trace reports).
-fn analyze_loop(
-    l: &Lowered,
-    cfg: &Cfg,
-    facts: &LoopFacts,
-    lp: &NaturalLoop,
-) -> Result<LoopElision, LoopRejectReason> {
-    if !lp.clean {
-        return Err(LoopRejectReason::OverlapsEh);
-    }
-    // In-loop definition sites.
-    let mut pdefs: HashMap<u16, Vec<usize>> = HashMap::new();
-    let mut rdefs: HashSet<u16> = HashSet::new();
-    for &b in &lp.body {
-        let (s, e) = cfg.ranges[b];
-        for pc in s..e {
-            if let Some(d) = def_p(&l.code[pc]) {
-                pdefs.entry(d).or_default().push(pc);
-            }
-            if let Some(d) = def_r(&l.code[pc]) {
-                rdefs.insert(d);
-            }
-        }
-    }
-    let (_, he) = cfg.ranges[lp.header];
-    let term = he - 1;
-    let Some(g) = facts.guard.get(&term) else {
-        return Err(LoopRejectReason::NoHeaderGuard);
-    };
-    let RInst::BrCmp { t, .. } = l.code[term] else {
-        return Err(LoopRejectReason::NoHeaderGuard);
-    };
-    let tgt_in = lp.body.contains(&cfg.block_of(t));
-    let fall_in = he < l.code.len() && lp.body.contains(&cfg.block_of(he as u32));
-    if tgt_in == fall_in {
-        return Err(LoopRejectReason::GuardShape);
-    }
-    // The predicate that holds on the edge that stays in the loop.
-    let stay = if fall_in { g.op.negate() } else { g.op };
-    // Which side is the bound? The staying predicate must imply
-    // `ivar < len` (strictly).
-    let (ivar, arr, bound_slot, bound_global) = if let Some((arr, glob)) = g.b_len {
-        if stay != CmpOp::Lt {
-            return Err(LoopRejectReason::GuardShape);
-        }
-        (g.a, arr, g.b, glob)
-    } else if let Some((arr, glob)) = g.a_len {
-        if stay != CmpOp::Gt {
-            return Err(LoopRejectReason::GuardShape);
-        }
-        let Some(bv) = g.b else {
-            return Err(LoopRejectReason::GuardShape);
-        };
-        (bv, arr, Some(g.a), glob)
-    } else {
-        return Err(LoopRejectReason::GuardShape);
-    };
-    // A header `ldlen` bound re-derives every iteration; the global
-    // `len` local must not be written inside the loop.
-    if bound_global {
-        if let Some(bs) = bound_slot {
-            if pdefs.contains_key(&bs) {
-                return Err(LoopRejectReason::BoundMutated);
-            }
-        }
-    }
-    // Array invariance inside the loop.
-    if rdefs.contains(&arr) {
-        return Err(LoopRejectReason::ArrayMutated);
-    }
-    // Induction: every in-loop def is a positive increment.
-    let ivar_defs: &[usize] = pdefs.get(&ivar).map(|v| v.as_slice()).unwrap_or(&[]);
-    if ivar_defs
-        .iter()
-        .any(|pc| !matches!(facts.defs.get(pc), Some(DefKind::Increment)))
-    {
-        return Err(LoopRejectReason::IndexStep);
-    }
-    // Entry value: every edge entering the header from outside must
-    // carry a known non-negative constant for the induction variable.
-    let entry_preds: Vec<usize> = cfg.preds[lp.header]
-        .iter()
-        .copied()
-        .filter(|p| !lp.body.contains(p))
-        .collect();
-    if entry_preds.is_empty() {
-        return Err(LoopRejectReason::EntryUnknown);
-    }
-    let entry_ok = entry_preds.iter().all(|&p| {
-        facts
-            .end_consts
-            .get(&cfg.heads[p])
-            .and_then(|m| m.get(&ivar))
-            .map_or(false, |&v| v as u32 as i32 >= 0)
-    });
-    if !entry_ok {
-        return Err(LoopRejectReason::EntryUnknown);
-    }
-    // Everything downstream of an increment (without re-passing the
-    // guard) is no longer covered by it.
-    let mut post_pcs: HashSet<usize> = HashSet::new();
-    let mut post_blocks: HashSet<usize> = HashSet::new();
-    let mut stack: Vec<usize> = Vec::new();
-    for &ipc in ivar_defs {
-        let b = cfg.block_of(ipc as u32);
-        post_pcs.extend(ipc + 1..cfg.ranges[b].1);
-        stack.extend(
-            cfg.succs[b]
-                .iter()
-                .copied()
-                .filter(|s| lp.body.contains(s) && *s != lp.header),
-        );
-    }
-    while let Some(b) = stack.pop() {
-        if post_blocks.insert(b) {
-            stack.extend(
-                cfg.succs[b]
-                    .iter()
-                    .copied()
-                    .filter(|s| lp.body.contains(s) && *s != lp.header),
-            );
-        }
-    }
-    let mut covered = Vec::new();
-    for &b in &lp.body {
-        if b == lp.header || post_blocks.contains(&b) {
-            continue;
-        }
-        let (s, e) = cfg.ranges[b];
-        for pc in s..e {
-            if post_pcs.contains(&pc) {
-                continue;
-            }
-            if facts.access.get(&pc) == Some(&(ivar, arr)) {
-                covered.push(pc);
-            }
-        }
-    }
-    Ok(LoopElision { covered, guard_pc: term as u32, ivar, arr })
-}
+// ---------------------------------------------------------------------------
+// Loop-aware tier: LICM over natural loops (see `rir::loops`).
+// ---------------------------------------------------------------------------
 
 /// Loop-invariant code motion.
 ///
@@ -2302,5 +1981,192 @@ mod tests {
         );
         let (_, _, vm) = rir_and_vm(VmProfile::mono023(), body);
         assert_eq!(vm.counters.licm_hoisted.load(std::sync::atomic::Ordering::Relaxed), 0);
+    }
+
+    /// Loop-rejection reasons a traced VM reported, in event order.
+    fn rejection_reasons(vm: &Vm) -> Vec<&'static str> {
+        use crate::observe::Event;
+        let events = vm.observe_report().unwrap().events;
+        events
+            .iter()
+            .filter_map(|e| match e {
+                Event::LoopRejected { reason, .. } => Some(reason.as_str()),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// Loop-rejection reasons the trace reports for `P.F` under CLR 1.1.
+    fn loop_rejections(build: impl FnOnce(&mut hpcnet_cil::MethodBuilder)) -> Vec<&'static str> {
+        use crate::observe::ObserveLevel;
+        let (_, _, vm) = rir_and_vm(VmProfile::clr11().with_observe(ObserveLevel::Trace), build);
+        rejection_reasons(&vm)
+    }
+
+    /// `for (i = 0; i < a.Length; i++) { try { s++; } catch/finally { … }
+    /// s += a[i]; }` under CLR 1.1 at trace level: the element accesses'
+    /// bounds modes, the loop-rejection reasons, and `F(5)`.
+    fn eh_loop(catch: bool) -> (Vec<crate::rir::BoundsMode>, Vec<&'static str>, i32) {
+        use crate::observe::ObserveLevel;
+        use hpcnet_cil::{ElemKind, Op};
+        use hpcnet_runtime::Value;
+        let mut mb = ModuleBuilder::new();
+        declare_prelude(&mut mb);
+        let exc = mb.class_id("Exception").unwrap();
+        let c = mb.declare_class("P", None);
+        let mut f = mb.method(c, "F", vec![CilType::I4], CilType::I4, MethodKind::Static);
+        let arr = f.local(CilType::Array(Box::new(CilType::I4)));
+        let s = f.local(CilType::I4);
+        let i = f.local(CilType::I4);
+        let (head, exit, after) = (f.new_label(), f.new_label(), f.new_label());
+        let (ts, te, hs, he) = (f.new_label(), f.new_label(), f.new_label(), f.new_label());
+        let bump = |f: &mut hpcnet_cil::MethodBuilder| {
+            f.ld_loc(s);
+            f.ldc_i4(1);
+            f.bin(BinOp::Add);
+            f.st_loc(s);
+        };
+        f.ld_arg(0);
+        f.emit(Op::NewArr(ElemKind::I4));
+        f.st_loc(arr);
+        f.place(head);
+        f.ld_loc(i);
+        f.ld_loc(arr);
+        f.emit(Op::LdLen);
+        f.br_cmp(CmpOp::Ge, exit);
+        f.place(ts);
+        bump(&mut f);
+        f.leave(after);
+        f.place(te);
+        f.place(hs);
+        if catch {
+            f.emit(Op::Pop);
+            f.leave(after);
+        } else {
+            bump(&mut f);
+            f.emit(Op::EndFinally);
+        }
+        f.place(he);
+        f.place(after);
+        f.ld_loc(s);
+        f.ld_loc(arr);
+        f.ld_loc(i);
+        f.emit(Op::LdElem(ElemKind::I4));
+        f.bin(BinOp::Add);
+        f.st_loc(s);
+        f.ld_loc(i);
+        f.ldc_i4(1);
+        f.bin(BinOp::Add);
+        f.st_loc(i);
+        f.br(head);
+        f.place(exit);
+        f.ld_loc(s);
+        f.ret();
+        if catch {
+            f.eh_catch(ts, te, hs, he, exc);
+        } else {
+            f.eh_finally(ts, te, hs, he);
+        }
+        f.finish();
+        let vm = Vm::new(
+            mb.finish(),
+            VmProfile::clr11().with_observe(ObserveLevel::Trace),
+        )
+        .unwrap();
+        let id = vm.module.find_method("P.F").unwrap();
+        let modes = vm
+            .compiled(id)
+            .unwrap()
+            .rir
+            .code
+            .iter()
+            .filter_map(|inst| match inst {
+                RInst::LdElem { bounds, .. } => Some(*bounds),
+                _ => None,
+            })
+            .collect();
+        let r = vm
+            .invoke_by_name("P.F", vec![Value::I4(5)])
+            .unwrap()
+            .unwrap();
+        (modes, rejection_reasons(&vm), r.as_i4())
+    }
+
+    /// A loop that overlaps an EH region is skipped by range analysis and
+    /// versioning, so only the structural matcher can drop the check on
+    /// the access after the handler.
+    #[test]
+    fn structural_matcher_covers_loops_that_overlap_eh() {
+        use crate::rir::BoundsMode;
+        let (modes, reasons, r) = eh_loop(false);
+        assert_eq!(modes, [BoundsMode::ElidedIdiom]);
+        assert_eq!(reasons, ["overlaps-eh"]);
+        assert_eq!(r, 10);
+        // A catch handler that leaves back into the body is an extra
+        // entry the normal-flow CFG cannot see past, so no natural loop
+        // (and no rejection) is found; the matcher still elides.
+        let (modes, _, r) = eh_loop(true);
+        assert_eq!(modes, [BoundsMode::ElidedIdiom]);
+        assert_eq!(r, 5);
+    }
+
+    #[test]
+    fn range_pass_reports_why_a_loop_kept_its_checks() {
+        // A clean length-guarded loop certifies its access: no rejection.
+        assert!(loop_rejections(sum_over_length_loop).is_empty());
+        // `j < n` bounds no array length.
+        let unbounded = |f: &mut hpcnet_cil::MethodBuilder| {
+            let s = f.local(CilType::I4);
+            let j = f.local(CilType::I4);
+            let (head, exit) = (f.new_label(), f.new_label());
+            f.place(head);
+            f.ld_loc(j);
+            f.ld_arg(0);
+            f.br_cmp(CmpOp::Ge, exit);
+            f.ld_loc(s);
+            f.ld_loc(j);
+            f.bin(BinOp::Add);
+            f.st_loc(s);
+            f.ld_loc(j);
+            f.ldc_i4(1);
+            f.bin(BinOp::Add);
+            f.st_loc(j);
+            f.br(head);
+            f.place(exit);
+            f.ld_loc(s);
+            f.ret();
+        };
+        assert_eq!(loop_rejections(unbounded), ["guard-shape"]);
+        // `j < a.Length; j = j + n` — a step that is not a constant.
+        let strided = |f: &mut hpcnet_cil::MethodBuilder| {
+            use hpcnet_cil::{ElemKind, Op};
+            let arr = f.local(CilType::Array(Box::new(CilType::I4)));
+            let s = f.local(CilType::I4);
+            let j = f.local(CilType::I4);
+            let (head, exit) = (f.new_label(), f.new_label());
+            f.ld_arg(0);
+            f.emit(Op::NewArr(ElemKind::I4));
+            f.st_loc(arr);
+            f.place(head);
+            f.ld_loc(j);
+            f.ld_loc(arr);
+            f.emit(Op::LdLen);
+            f.br_cmp(CmpOp::Ge, exit);
+            f.ld_loc(s);
+            f.ld_loc(arr);
+            f.ld_loc(j);
+            f.emit(Op::LdElem(ElemKind::I4));
+            f.bin(BinOp::Add);
+            f.st_loc(s);
+            f.ld_loc(j);
+            f.ld_arg(0);
+            f.bin(BinOp::Add);
+            f.st_loc(j);
+            f.br(head);
+            f.place(exit);
+            f.ld_loc(s);
+            f.ret();
+        };
+        assert_eq!(loop_rejections(strided), ["index-step"]);
     }
 }

@@ -1,15 +1,16 @@
-//! Symbolic range ABCE and guarded loop versioning.
-//!
-//! Two mechanisms extend the idiom tier's `arr[i]`-under-`i < arr.Length`
-//! matching to the loop shapes the Grande/SciMark kernels actually use:
+//! Symbolic range ABCE and guarded loop versioning — the loop half of the
+//! `bce` knob (the structural matcher in [`crate::rir::opt`] is the other).
 //!
 //! * **Range ABCE** ([`range_abce`]): per-loop symbolic intervals for the
-//!   induction variable prove *derived* indices in bounds — `arr[i+k]`
-//!   and `arr[i-k]` once the guard bounds `i` below the length with
-//!   enough slack, and triangular nests (`for j < i` under
-//!   `for i < arr.Length`) by chaining the inner bound through the outer
-//!   loop's supremum. Accesses that pass get `BoundsMode::ElidedRange`
-//!   and a [`CertKind::Loop`] certificate recording the interval facts.
+//!   induction variable prove indices in bounds — the counted-loop idiom
+//!   `arr[i]` under `i < arr.Length` (labelled `BoundsMode::ElidedIdiom`),
+//!   and *derived* indices labelled `BoundsMode::ElidedRange`: `arr[i+k]`
+//!   and `arr[i-k]` once the guard bounds `i` below the length with enough
+//!   slack, and triangular nests (`for j < i` under `for i < arr.Length`)
+//!   by chaining the inner bound through the outer loop's supremum. Every
+//!   elision carries a [`CertKind::Loop`] certificate recording the
+//!   interval facts, and the pass reports why each loop that kept all its
+//!   checks did (the `LoopRejected` trace).
 //! * **Loop versioning** ([`version_loops`]): loops whose guard bound is
 //!   *not* statically tied to an array length (SparseMatMul's row-pointer
 //!   bounds, LU's dimension argument) get a check-free clone selected by
@@ -27,10 +28,11 @@
 //! to a missed optimization, never to an unsound elision or an
 //! audit-time hard failure.
 
+use crate::observe::{JitOutcome, LoopRejectReason};
 use crate::rir::audit::{self, CertKind, ElisionCert};
 use crate::rir::loops::{Cfg, NaturalLoop};
 use crate::rir::lower::Lowered;
-use crate::rir::opt::{collect_loop_facts, def_p, def_r, DefKind, LoopFacts};
+use crate::rir::opt::{collect_loop_facts, commit_certified, def_p, def_r, DefKind, LoopFacts};
 use crate::rir::{BoundsMode, Operand, RInst};
 use hpcnet_cil::{BinOp, CmpOp, NumTy};
 use std::collections::HashSet;
@@ -269,26 +271,30 @@ fn sup_of(
 // Range ABCE.
 // ---------------------------------------------------------------------------
 
-/// Elide checks on derived-index accesses proven in `[0, len)` by the
-/// loop's symbolic interval. Returns the number of checks removed; every
-/// removal carries a [`CertKind::Loop`] certificate already accepted by
-/// the independent checker.
-pub(crate) fn range_abce(l: &mut Lowered, cfg: &Cfg, loops: &[NaturalLoop]) -> u64 {
-    if l.code.is_empty() {
-        return 0;
-    }
+/// Elide checks on accesses proven in `[0, len)` by the loop's symbolic
+/// interval, adding the idiom and range counts to `outcome`. Every removal
+/// carries a [`CertKind::Loop`] certificate already accepted by the
+/// independent checker. A certificate of the counted-loop idiom's shape —
+/// index exactly the induction variable (`offset` 0, `entry_lo` 0) under
+/// a direct strict length guard (`sup_off` −1) — is labelled
+/// [`BoundsMode::ElidedIdiom`]; every other one `ElidedRange`.
+///
+/// Returns the loops that kept all their checks, each with the first
+/// loop-level disqualifier found (the `LoopRejected` trace).
+pub(crate) fn range_abce(
+    l: &mut Lowered,
+    cfg: &Cfg,
+    loops: &[NaturalLoop],
+    outcome: &mut JitOutcome,
+) -> Vec<(u32, LoopRejectReason)> {
     let facts = collect_loop_facts(l);
+    let gates: Vec<Result<GuardInfo, LoopRejectReason>> = loops
+        .iter()
+        .map(|lp| loop_guard(l, cfg, &facts, lp))
+        .collect();
     let mut cands: Vec<(usize, ElisionCert)> = Vec::new();
-    for lp in loops {
-        if !lp.clean {
-            continue;
-        }
-        let Some(gi) = guard_info(l, cfg, &facts, lp) else {
-            continue;
-        };
-        if !increments_only(l, cfg, &facts, lp, gi.ivar) {
-            continue;
-        }
+    for (li, (lp, gate)) in loops.iter().zip(&gates).enumerate() {
+        let Ok(gi) = gate else { continue };
         for &b in &lp.body {
             if b == lp.header {
                 continue;
@@ -319,11 +325,17 @@ pub(crate) fn range_abce(l: &mut Lowered, cfg: &Cfg, loops: &[NaturalLoop]) -> u
                 if sup_off + k > -1 {
                     continue;
                 }
+                let direct = gi.len_bound.is_some_and(|(a, _)| a == aorigin);
+                let mechanism = if k == 0 && sup_off == -1 && direct {
+                    BoundsMode::ElidedIdiom
+                } else {
+                    BoundsMode::ElidedRange
+                };
                 cands.push((
-                    pc,
+                    li,
                     ElisionCert {
                         pc: pc as u32,
-                        mechanism: BoundsMode::ElidedRange,
+                        mechanism,
                         kind: CertKind::Loop {
                             guard_pc: gi.term as u32,
                             ivar: gi.ivar,
@@ -337,32 +349,103 @@ pub(crate) fn range_abce(l: &mut Lowered, cfg: &Cfg, loops: &[NaturalLoop]) -> u
             }
         }
     }
-    // Trial-commit: flip the access, ask the independent checker, revert
-    // on rejection. A nested loop may propose a pc twice; the `Checked`
-    // test skips anything already won.
-    let mut n = 0u64;
-    for (pc, cert) in cands {
-        match &mut l.code[pc] {
-            RInst::LdElem { bounds, .. } | RInst::StElem { bounds, .. }
-                if bounds.is_checked() =>
-            {
-                *bounds = BoundsMode::ElidedRange;
-            }
-            _ => continue,
-        }
-        l.certs.push(cert);
-        if audit::check(l).is_ok() {
-            n += 1;
+    // A nested loop may propose a pc twice; the first proposal the
+    // checker accepts wins.
+    let (owners, cands): (Vec<usize>, Vec<ElisionCert>) = cands.into_iter().unzip();
+    let base = l.certs.len();
+    let won: HashSet<usize> = commit_certified(l, cands)
+        .into_iter()
+        .map(|i| owners[i])
+        .collect();
+    for cert in &l.certs[base..] {
+        if cert.mechanism == BoundsMode::ElidedIdiom {
+            outcome.idiom_removed += 1;
         } else {
-            l.certs.pop();
-            if let RInst::LdElem { bounds, .. } | RInst::StElem { bounds, .. } =
-                &mut l.code[pc]
-            {
-                *bounds = BoundsMode::Checked;
-            }
+            outcome.range_removed += 1;
         }
     }
-    n
+    let l = &*l;
+    loops
+        .iter()
+        .zip(gates)
+        .enumerate()
+        .filter_map(|(li, (lp, gate))| {
+            let reason = match gate {
+                Err(reason) => Some(reason),
+                Ok(gi) if !won.contains(&li) => uncertified_reason(l, cfg, &facts, lp, &gi),
+                Ok(_) => None,
+            };
+            reason.map(|r| (cfg.ranges[lp.header].0 as u32, r))
+        })
+        .collect()
+}
+
+/// The loop-level gate of [`range_abce`]: a clean loop whose header guard
+/// bounds an induction variable that only steps up by constants.
+fn loop_guard(
+    l: &Lowered,
+    cfg: &Cfg,
+    facts: &LoopFacts,
+    lp: &NaturalLoop,
+) -> Result<GuardInfo, LoopRejectReason> {
+    if !lp.clean {
+        return Err(LoopRejectReason::OverlapsEh);
+    }
+    if !facts.guard.contains_key(&(cfg.ranges[lp.header].1 - 1)) {
+        return Err(LoopRejectReason::NoHeaderGuard);
+    }
+    let gi = guard_info(l, cfg, facts, lp).ok_or(LoopRejectReason::GuardShape)?;
+    if !increments_only(l, cfg, facts, lp, gi.ivar) {
+        return Err(LoopRejectReason::IndexStep);
+    }
+    Ok(gi)
+}
+
+/// Why a loop that passed [`loop_guard`] still certified nothing: the
+/// first loop-level fact a length-guard certificate needs that does not
+/// hold, or `None` when the loop simply has no matching access.
+fn uncertified_reason(
+    l: &Lowered,
+    cfg: &Cfg,
+    facts: &LoopFacts,
+    lp: &NaturalLoop,
+    gi: &GuardInfo,
+) -> Option<LoopRejectReason> {
+    let (Some((arr, global)), true) = (gi.len_bound, gi.strict) else {
+        return Some(LoopRejectReason::GuardShape);
+    };
+    if global
+        && gi
+            .bound_res
+            .is_some_and(|b| !loop_defs(l, cfg, lp, b).is_empty())
+    {
+        return Some(LoopRejectReason::BoundMutated);
+    }
+    let arr_written = lp.body.iter().any(|&b| {
+        let (s, e) = cfg.ranges[b];
+        (s..e).any(|pc| def_r(&l.code[pc]) == Some(arr))
+    });
+    if arr_written {
+        return Some(LoopRejectReason::ArrayMutated);
+    }
+    // Every edge entering the header from outside carries a known
+    // non-negative constant for the induction variable.
+    let mut entries = cfg.preds[lp.header]
+        .iter()
+        .filter(|p| !lp.body.contains(p))
+        .peekable();
+    let entry_known = entries.peek().is_some()
+        && entries.all(|&p| {
+            facts
+                .end_consts
+                .get(&cfg.heads[p])
+                .and_then(|m| m.get(&gi.ivar))
+                .is_some_and(|&v| v as u32 as i32 >= 0)
+        });
+    if !entry_known {
+        return Some(LoopRejectReason::EntryUnknown);
+    }
+    None
 }
 
 // ---------------------------------------------------------------------------

@@ -1,12 +1,14 @@
-//! Shows what the loop-aware tier adds over the structural matcher: the
-//! same MiniC# sums compiled by CLR 1.1 with the loop passes off and on.
+//! Shows what bounds-check elimination and LICM do to a counted loop:
+//! the same MiniC# sums compiled by CLR 1.1 with the `bce` and `licm`
+//! knobs off and on.
 //!
-//! `RowSum` (a clean counted loop) is simple enough for the structural
-//! BCE matcher, so both configs uncheck it — but only the loop-aware
-//! config hoists the `ldlen` out of the loop. `SumThenPeek` reuses the
-//! index variable after the loop (`j = row.Length - 1`), which taints it
-//! for the whole-method structural matcher; the loop-aware ABCE reasons
-//! per natural loop, so it still unchecks the in-loop access while
+//! With both off every access keeps its check. With them on, `RowSum`
+//! (a clean counted loop) is simple enough for the structural BCE
+//! matcher, and LICM hoists the `ldlen` out of the loop. `SumThenPeek`
+//! reuses the index variable after the loop (`j = row.Length - 1`),
+//! which taints it for the whole-method structural matcher; range
+//! analysis reasons per natural loop, so it still unchecks the in-loop
+//! access (labelled idiom: offset 0 under a direct length guard) while
 //! leaving the post-loop peek checked. docs/OPTIMIZATIONS.md embeds this
 //! output.
 //!
@@ -42,11 +44,9 @@ fn main() {
     let module = compile(source).expect("compile");
 
     let mut off = VmProfile::clr11();
-    off.name = "CLR 1.1 (loop passes off)";
-    off.passes.abce = false;
+    off.name = "CLR 1.1 (bce and licm off)";
+    off.passes.bce = false;
     off.passes.licm = false;
-    off.passes.range_abce = false;
-    off.passes.loop_versioning = false;
     let on = VmProfile::clr11();
 
     for profile in [off, on] {

@@ -11,7 +11,7 @@
 //!
 //! Status: every case in this file runs un-ignored and passes. The much
 //! larger generative matrix — every profile of the paper's lineup crossed
-//! with every `abce`/`licm` pass combination, plus trap and console
+//! with every `bce`/`licm` pass combination, plus trap and console
 //! comparison and a shrinker for failures — lives in `crates/conform`
 //! (see `docs/TESTING.md`); this file keeps the small, fast facade-level
 //! differential checks.
